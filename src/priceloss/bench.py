@@ -117,10 +117,6 @@ def _rep_rng(seed: int, *keys: float) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(ints))
 
 
-def _kind(name: str) -> EstimatorKind:
-    return EstimatorKind(name if name != "dr" else "mv")
-
-
 # ---------------------------------------------------------------------------
 # Single replications
 # ---------------------------------------------------------------------------
@@ -172,7 +168,7 @@ def eval_replication(
                 obs, pm, ladder, demand, folds=cfg.cv_folds
             )
         value = estimate_policy_value(
-            obs, pm, ladder, _kind(name), demand, switching_weight=weight
+            obs, pm, ladder, EstimatorKind(name), demand, switching_weight=weight
         )
         out[name] = (value - truth) ** 2
     return out
@@ -200,7 +196,7 @@ def learn_replication(
                 obs, ladder, demand, folds=cfg.cv_folds, config=tc
             )
         result = optimize_policy(
-            obs, ladder, _kind(name), demand, config=tc, switching_weight=weight
+            obs, ladder, EstimatorKind(name), demand, config=tc, switching_weight=weight
         )
         test_pm = result.policy.probs_matrix(test.features)
         out[name] = -true_policy_value(test_pm, test.valuations, ladder)

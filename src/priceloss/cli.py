@@ -128,13 +128,13 @@ def cmd_eval_csv(args) -> int:
     pm = policy.probs_matrix(dataset.features)
 
     kinds = [k.strip() for k in args.estimators.split(",")]
-    needs_demand = any(k in ("mv", "dr", "cmix") for k in kinds)
+    needs_demand = any(k in ("mv", "cmix") for k in kinds)
     demand = fit_tlearner(dataset, ladder) if needs_demand else None
 
     results = {}
     for name in kinds:
         try:
-            kind = EstimatorKind(name if name != "dr" else "mv")
+            kind = EstimatorKind(name)
         except ValueError as exc:
             raise InputError(f"unknown estimator {name!r}") from exc
         weight = None

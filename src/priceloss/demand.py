@@ -258,12 +258,3 @@ def survival_to_valuation_probs(survival: np.ndarray) -> np.ndarray:
     fv[m] = survival[-1]
     fv = np.maximum(fv, 0.0)
     return fv / fv.sum()
-
-
-def rewards_matrix(model: DemandModel, ladder: PriceLadder, features: np.ndarray) -> np.ndarray:
-    """Repaired per-rung reward estimates for many customers at once, (n, m)."""
-    g = model.sale_probs_matrix(features)
-    out = np.empty_like(g)
-    for i in range(g.shape[0]):
-        out[i] = ladder.margins * repaired_survival(g[i])
-    return out

@@ -15,6 +15,11 @@ Two families live side by side:
 The doubly robust pieces reproduce the minimum-variance matrix as
 ``R_DM + R_IPS - R_DIPS`` whenever the plugged-in outcome distribution is the
 push-forward of the plugged-in valuation distribution.
+
+Each matrix is built explicitly for one customer with numpy's dense solver.
+They are the readable reference for the closed form in ``losses``, which must
+reach the same corrupted losses. Minimum-variance plug-ins are used as given,
+so every outcome needs positive plug-in mass.
 """
 
 from __future__ import annotations
@@ -24,14 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import densemat
 from .ladder import OutcomeDist, Propensities, ValuationDist
 from .transfer import TransferMatrix, build_transfer, lower_mask, upper_mask
-
-# Entries of a plug-in outcome distribution are clipped to this floor (then
-# renormalized) before inversion, keeping diag(f)^-1 bounded. The closed form
-# is scale-insensitive, so renormalizing does not bias anything.
-OUTCOME_FLOOR = 1e-4
 
 LEFT_INVERSE_TOL = 1e-9
 
@@ -42,7 +41,6 @@ class EstimatorKind(str, enum.Enum):
     IPS = "ips"
     CIPS = "cips"
     SWITCHING = "cmix"
-    DOUBLY_ROBUST = "dr"
 
 
 @dataclass(frozen=True)
@@ -67,12 +65,6 @@ def hop_matrix(m: int) -> np.ndarray:
     return h
 
 
-def floor_distribution(probs: np.ndarray, floor: float = OUTCOME_FLOOR) -> np.ndarray:
-    """Clip entries below ``floor`` and renormalize to the simplex."""
-    clipped = np.maximum(np.asarray(probs, dtype=np.float64), floor)
-    return clipped / clipped.sum()
-
-
 def left_inverse_defect(reweight: ReweightMatrix, transfer: TransferMatrix) -> float:
     """Max-abs deviation of R @ T from the identity."""
     m = transfer.m
@@ -82,21 +74,21 @@ def left_inverse_defect(reweight: ReweightMatrix, transfer: TransferMatrix) -> f
 
 
 def min_variance_reweight(
-    transfer: TransferMatrix, outcome_hat: OutcomeDist, floor: float = OUTCOME_FLOOR
+    transfer: TransferMatrix, outcome_hat: OutcomeDist
 ) -> ReweightMatrix:
     """Left inverse with minimum conditional loss variance at ``outcome_hat``.
 
-    Computed via two linear solves of (T' D^-1 T) rather than any explicit
-    inverse; a wrong plug-in only costs variance, never bias.
+    Computed by solving (T' D^-1 T) R = T' D^-1 rather than forming any
+    explicit inverse; a wrong plug-in only costs variance, never bias. Every
+    outcome needs positive plug-in mass, since D^-1 divides by it.
     """
     if outcome_hat.m != transfer.m:
         raise ValueError("outcome distribution size does not match the transfer matrix")
-    f = floor_distribution(outcome_hat.probs, floor)
+    f = outcome_hat.probs
     if np.any(f <= 0.0):
-        raise ValueError("plug-in outcome distribution has nonpositive mass after flooring")
+        raise ValueError("plug-in outcome distribution has nonpositive mass")
     weighted = transfer.mat.T / f  # T' D^-1, shape (m+1, 2m)
-    gram = densemat.matmul(weighted, transfer.mat)  # T' D^-1 T
-    mat = densemat.solve(gram, weighted)
+    mat = np.linalg.solve(weighted @ transfer.mat, weighted)
     r = ReweightMatrix(mat=mat, kind=EstimatorKind.MIN_VARIANCE)
     defect = left_inverse_defect(r, transfer)
     if defect > LEFT_INVERSE_TOL:
@@ -118,15 +110,7 @@ def robust_reweight(transfer: TransferMatrix) -> ReweightMatrix:
     pi0 = transfer.pi0
     u, low = upper_mask(m), lower_mask(m)
     gram = u.T @ (pi0[:, None] * u) + low.T @ (pi0[:, None] * low)
-    mat = densemat.solve(gram, np.hstack([u.T, low.T]))
-
-    # Same matrix through the generic plug-in route; the two must agree.
-    split = transfer.mat[:, 0] + transfer.mat[:, -1]  # = (pi_0; pi_0)
-    weighted = transfer.mat.T / split
-    alt = densemat.solve(densemat.matmul(weighted, transfer.mat), weighted)
-    if np.max(np.abs(mat - alt)) > 1e-10:
-        raise AssertionError("robust construction paths disagree")
-
+    mat = np.linalg.solve(gram, np.hstack([u.T, low.T]))
     r = ReweightMatrix(mat=mat, kind=EstimatorKind.ROBUST)
     if left_inverse_defect(r, transfer) > LEFT_INVERSE_TOL:
         raise ArithmeticError("robust construction lost the left-inverse property")
@@ -204,23 +188,19 @@ def dr_decomposition(
     transfer: TransferMatrix,
     valuation_hat: ValuationDist,
     pi0: Propensities,
-    floor: float = OUTCOME_FLOOR,
 ) -> DoublyRobustParts:
     """Split the minimum-variance matrix into direct, IPS and correction parts.
 
-    The plug-in outcome distribution implied by ``valuation_hat`` must stay
-    above the inversion floor, otherwise the identity with the
-    minimum-variance matrix cannot hold and we refuse to proceed.
+    The plug-in outcome distribution implied by ``valuation_hat`` must give
+    every outcome positive mass, otherwise the minimum-variance matrix it
+    should reproduce does not exist and we refuse to proceed.
     """
     m = transfer.m
     if valuation_hat.m != m or pi0.m != m:
         raise ValueError("mismatched ladder sizes")
     induced = transfer.mat @ valuation_hat.probs
-    if np.any(induced <= floor):
-        raise ValueError(
-            "plug-in valuation distribution induces outcome mass at or below "
-            f"the inversion floor {floor}"
-        )
+    if np.any(induced <= 0.0):
+        raise ValueError("plug-in valuation distribution induces nonpositive outcome mass")
     survival_tail = np.cumsum(valuation_hat.probs[::-1])[::-1]  # P(V >= slot)
     sale_mass = pi0.probs * survival_tail[1:]  # f_hat on the sale block
     h = hop_matrix(m)
@@ -272,7 +252,7 @@ def reweight_for(
         return cips_reweight(pi0)
     if kind == EstimatorKind.ROBUST:
         return robust_reweight(transfer)
-    if kind in (EstimatorKind.MIN_VARIANCE, EstimatorKind.DOUBLY_ROBUST):
+    if kind == EstimatorKind.MIN_VARIANCE:
         if outcome_hat is None:
             raise ValueError(f"{kind.value} needs a plug-in outcome distribution")
         return min_variance_reweight(transfer, outcome_hat)

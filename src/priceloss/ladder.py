@@ -14,7 +14,6 @@ Conventions used across the package:
 from __future__ import annotations
 
 import csv
-import io
 import warnings
 from dataclasses import dataclass, field
 
@@ -229,16 +228,6 @@ class Dataset:
             valuations=None if self.valuations is None else self.valuations[rows],
         )
 
-    def record(self, i: int) -> ObservedRecord:
-        return ObservedRecord(
-            features=self.features[i],
-            price_index=int(self.price_index[i]),
-            sold=bool(self.sold[i]),
-            latent_valuation=None
-            if self.valuations is None
-            else int(self.valuations[i]),
-        )
-
 
 @dataclass
 class ValidationReport:
@@ -409,9 +398,3 @@ def read_csv(path_or_buf, constant_propensities=None) -> Dataset:
     return Dataset(
         features=X, price_index=price, sold=sold, propensities=pis, valuations=vals
     )
-
-
-def dataset_to_csv_text(dataset: Dataset) -> str:
-    buf = io.StringIO()
-    write_csv(dataset, buf)
-    return buf.getvalue()

@@ -18,6 +18,26 @@ per rung such that
 with the coefficients independent of the policy. That one matrix serves both
 evaluation (dot with the policy) and optimization (gradients through the
 policy only).
+
+Every estimator kind has the doubly robust form: a per-rung reward plug-in
+mu (the direct method) plus the inverse-propensity correction of its
+residual at the logged rung j0,
+
+    coef[i, :]   = -mu[i, :]
+    coef[i, j0] -= (obs_i - mu[i, j0]) / pi_0(p_j0 | x_i)
+
+where obs_i is the margin collected at the logged price (0 without a sale).
+Only mu depends on the kind, with g the demand model's clamped per-rung sale
+probabilities and c the switching weight:
+
+    ips     0
+    cips    margins
+    robust  margins / 2              (half never buy, half always buy)
+    mv      margins * g
+    cmix    margins * (c g + (1 - c) / 2)
+
+``per_record_losses_reference`` reaches the same losses through the explicit
+per-customer left-inverse matrices of ``estimators``.
 """
 
 from __future__ import annotations
@@ -25,13 +45,11 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import (
-    OUTCOME_FLOOR,
     EstimatorKind,
     ReweightMatrix,
     reweight_for,
 )
 from .ladder import Dataset, OutcomeDist, PolicyDist, PriceLadder, Propensities
-from .transfer import lower_mask, upper_mask
 
 VARIANCE_GUARD = -1e-8
 
@@ -42,16 +60,6 @@ def valuation_loss_vector(policy: PolicyDist, ladder: PriceLadder) -> np.ndarray
         raise ValueError("policy and ladder sizes differ")
     out = np.zeros(ladder.m + 1)
     out[1:] = -np.cumsum(policy.probs * ladder.margins)
-    return out
-
-
-def valuation_loss_matrix(policy_matrix: np.ndarray, ladder: PriceLadder) -> np.ndarray:
-    """Stacked loss vectors, one row per customer: (n, m+1)."""
-    pm = np.atleast_2d(np.asarray(policy_matrix, dtype=np.float64))
-    if pm.shape[1] != ladder.m:
-        raise ValueError("policy matrix has the wrong number of rungs")
-    out = np.zeros((pm.shape[0], ladder.m + 1))
-    out[:, 1:] = -np.cumsum(pm * ladder.margins, axis=1)
     return out
 
 
@@ -91,49 +99,31 @@ def _demand_matrix(demand, features: np.ndarray) -> np.ndarray:
     return np.asarray(demand, dtype=np.float64)
 
 
-def _floored_outcome_rows(g: np.ndarray, pi: np.ndarray, floor: float) -> np.ndarray:
-    """Row-wise plug-in outcome distributions [g*pi, (1-g)*pi], floored."""
-    f = np.hstack([g * pi, (1.0 - g) * pi])
-    f = np.maximum(f, floor)
-    return f / f.sum(axis=1, keepdims=True)
-
-
-def _solved_reweight_columns(
-    dataset: Dataset, kind: EstimatorKind, demand, floor: float
+def _reward_plugin(
+    dataset: Dataset,
+    ladder: PriceLadder,
+    kind: EstimatorKind,
+    demand,
+    switching_weight: float | None,
 ) -> np.ndarray:
-    """Observed column R_i[:, k_i] of the per-record reweight matrix, (n, m+1).
-
-    Uses the mask factorization of the transfer matrix so only one
-    (m+1)-dimensional solve per record is needed, batched across records.
-    """
-    m = dataset.m
-    n = dataset.n
-    pi = dataset.propensities
-    u, low = upper_mask(m), lower_mask(m)
-    j0 = dataset.price_index - 1
-    sold = dataset.sold
-    # Row of [U; L] matching each record's observed outcome.
-    w = np.where(sold[:, None], u[j0], low[j0])  # (n, m+1)
-
+    """The kind's per-rung reward plug-in mu, (n, m) or one row for all records."""
+    margins = ladder.margins
+    if kind == EstimatorKind.IPS:
+        return np.zeros_like(margins)
+    if kind == EstimatorKind.CIPS:
+        return margins
     if kind == EstimatorKind.ROBUST:
-        gram = np.einsum("ki,nk,kj->nij", u, pi, u) + np.einsum(
-            "ki,nk,kj->nij", low, pi, low
-        )
-        rhs = w
-    elif kind in (EstimatorKind.MIN_VARIANCE, EstimatorKind.DOUBLY_ROBUST):
+        return margins / 2.0
+    if kind == EstimatorKind.MIN_VARIANCE:
+        return margins * _demand_matrix(demand, dataset.features)
+    if kind == EstimatorKind.SWITCHING:
+        if switching_weight is None:
+            raise ValueError("switching estimator needs an explicit weight")
+        if not 0.0 <= switching_weight <= 1.0:
+            raise ValueError("switching weight must lie in [0, 1]")
         g = _demand_matrix(demand, dataset.features)
-        f = _floored_outcome_rows(g, pi, floor)
-        sale_w = pi * pi / f[:, :m]
-        nosale_w = pi * pi / f[:, m:]
-        gram = np.einsum("ki,nk,kj->nij", u, sale_w, u) + np.einsum(
-            "ki,nk,kj->nij", low, nosale_w, low
-        )
-        picked_pi = pi[np.arange(n), j0]
-        picked_f = f[np.arange(n), dataset.outcome_indices()]
-        rhs = w * (picked_pi / picked_f)[:, None]
-    else:
-        raise ValueError(f"no solved path for estimator kind {kind}")
-    return np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+        return margins * (switching_weight * g + (1.0 - switching_weight) / 2.0)
+    raise ValueError(f"unknown estimator kind: {kind}")
 
 
 def loss_coefficients(
@@ -142,7 +132,6 @@ def loss_coefficients(
     kind: EstimatorKind,
     demand=None,
     switching_weight: float | None = None,
-    floor: float = OUTCOME_FLOOR,
 ) -> np.ndarray:
     """Per-record, per-rung coefficients of the corrupted loss, shape (n, m).
 
@@ -152,37 +141,15 @@ def loss_coefficients(
     m = dataset.m
     if ladder.m != m:
         raise ValueError("ladder size does not match the dataset")
-    n = dataset.n
-    margins = ladder.margins
+    mu = np.broadcast_to(
+        _reward_plugin(dataset, ladder, kind, demand, switching_weight), (dataset.n, m)
+    )
+    rows = np.arange(dataset.n)
     j0 = dataset.price_index - 1
-    rows = np.arange(n)
-    picked_pi = dataset.propensities[rows, j0]
-
-    if kind == EstimatorKind.IPS:
-        coef = np.zeros((n, m))
-        sold = dataset.sold
-        coef[rows[sold], j0[sold]] = -margins[j0[sold]] / picked_pi[sold]
-        return coef
-
-    if kind == EstimatorKind.CIPS:
-        coef = np.tile(-margins, (n, 1))
-        unsold = ~dataset.sold
-        coef[rows[unsold], j0[unsold]] += margins[j0[unsold]] / picked_pi[unsold]
-        return coef
-
-    if kind == EstimatorKind.SWITCHING:
-        if switching_weight is None:
-            raise ValueError("switching estimator needs an explicit weight")
-        if not 0.0 <= switching_weight <= 1.0:
-            raise ValueError("switching weight must lie in [0, 1]")
-        mv = loss_coefficients(dataset, ladder, EstimatorKind.MIN_VARIANCE, demand, floor=floor)
-        rob = loss_coefficients(dataset, ladder, EstimatorKind.ROBUST, floor=floor)
-        return switching_weight * mv + (1.0 - switching_weight) * rob
-
-    cols = _solved_reweight_columns(dataset, kind, demand, floor)
-    # tail[v] = sum_{u >= v} col[u]; coefficient j is -margin_j * tail[j+1].
-    tails = np.cumsum(cols[:, ::-1], axis=1)[:, ::-1]
-    return -margins * tails[:, 1:]
+    observed = ladder.margins[j0] * dataset.sold
+    coef = -mu
+    coef[rows, j0] -= (observed - mu[rows, j0]) / dataset.propensities[rows, j0]
+    return coef
 
 
 def per_record_losses(
@@ -226,12 +193,12 @@ def per_record_losses_reference(
 ) -> np.ndarray:
     """Slow per-record path building one explicit reweight matrix per row.
 
-    Kept as the readable, contract-level implementation; the batched engine
-    must agree with it to floating-point noise.
+    Kept as the readable, contract-level implementation; the closed form in
+    ``loss_coefficients`` must agree with it to floating-point noise.
     """
     pm = np.atleast_2d(np.asarray(policy_matrix, dtype=np.float64))
     g = None
-    if kind in (EstimatorKind.MIN_VARIANCE, EstimatorKind.DOUBLY_ROBUST, EstimatorKind.SWITCHING):
+    if kind in (EstimatorKind.MIN_VARIANCE, EstimatorKind.SWITCHING):
         g = _demand_matrix(demand, dataset.features)
     out = np.empty(dataset.n)
     k = dataset.outcome_indices()
@@ -239,8 +206,6 @@ def per_record_losses_reference(
         pi0 = Propensities(dataset.propensities[i])
         outcome_hat = None
         if g is not None:
-            # Raw plug-in rows; the constructor applies the floor exactly once,
-            # matching the batched path.
             outcome_hat = OutcomeDist(
                 np.hstack([g[i] * pi0.probs, (1.0 - g[i]) * pi0.probs])
             )

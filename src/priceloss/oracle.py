@@ -142,7 +142,8 @@ def minimax_grid(
 
     Enumerates valuation distributions on a simplex grid; for each candidate
     reweighting (robust, IPS, CIPS and, optionally, the minimum-variance
-    matrix plugged in at every grid point) records the maximal variance.
+    matrix plugged in at every grid point whose outcome distribution gives
+    every outcome positive mass) records the maximal variance.
 
     The robust candidate's variance depends on the valuation distribution
     only through its expected loss, so its maximizers form a whole slice of
@@ -184,7 +185,10 @@ def minimax_grid(
     if include_plugins:
         best_plugin = np.inf
         for fv in grid:
-            plugged = min_variance_reweight(transfer, OutcomeDist(transfer.mat @ fv))
+            fy = transfer.mat @ fv
+            if np.any(fy <= 0.0):
+                continue  # no minimum-variance matrix without full outcome support
+            plugged = min_variance_reweight(transfer, OutcomeDist(fy))
             variances = _grid_variances(plugged.mat.T @ lv, grid, transfer)
             best_plugin = min(best_plugin, float(variances.max()))
         worst["best_plugin_mv"] = best_plugin
@@ -207,8 +211,8 @@ def random_instance(
 ) -> tuple[PriceLadder, Propensities, PolicyDist, ValuationDist]:
     """One random well-conditioned problem instance.
 
-    Masses are bounded away from zero so that plug-in inversions stay far
-    from the flooring region and the exact identities hold to roundoff.
+    Masses are bounded away from zero so that plug-in inversions stay well
+    conditioned and the exact identities hold to roundoff.
     """
     if m is None:
         m = int(rng.integers(2, 7))
@@ -278,9 +282,15 @@ def unbiasedness_sweep(n_instances: int, seed: int) -> list[SweepRow]:
 
 
 def inverse_condition_sweep(n_instances: int, seed: int, policies_each: int = 5) -> list[SweepRow]:
-    """Left-inverse and generalized-inverse defects across random instances."""
+    """Left-inverse and generalized-inverse defects across random instances.
+
+    Also rebuilds the robust matrix as the minimum-variance solution at the
+    outcome distribution of the half-never/half-always split, with numpy's
+    general solver, and records how far it lands from ``robust_reweight``.
+    """
     worst_left = 0.0
     worst_gen = 0.0
+    worst_paths = 0.0
     for i in range(n_instances):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 1000 + i]))
         m = int(rng.integers(2, 11))
@@ -290,6 +300,10 @@ def inverse_condition_sweep(n_instances: int, seed: int, policies_each: int = 5)
         fy_plugin = OutcomeDist(transfer.mat @ _interior_simplex(rng, m + 1))
         mv = min_variance_reweight(transfer, fy_plugin)
         rob = robust_reweight(transfer)
+        split = transfer.mat[:, 0] + transfer.mat[:, -1]  # = (pi_0; pi_0)
+        weighted = transfer.mat.T / split
+        alt = np.linalg.solve(weighted @ transfer.mat, weighted)
+        worst_paths = max(worst_paths, float(np.max(np.abs(rob.mat - alt))))
         mix = ReweightMatrix(0.3 * mv.mat + 0.7 * rob.mat, EstimatorKind.SWITCHING)
         for reweight in (mv, rob, mix):
             worst_left = max(worst_left, float(np.max(np.abs(reweight.mat @ transfer.mat - eye))))
@@ -302,6 +316,7 @@ def inverse_condition_sweep(n_instances: int, seed: int, policies_each: int = 5)
     return [
         SweepRow("left_inverse_defect", seed, worst_left, 1e-9),
         SweepRow("generalized_inverse_defect", seed, worst_gen, 1e-9),
+        SweepRow("robust_paths_agree", seed, worst_paths, 1e-10),
     ]
 
 

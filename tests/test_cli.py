@@ -195,7 +195,8 @@ def test_unknown_estimator_exits_two(tmp_path):
     data = tmp_path / "d.csv"
     main(["gen", "--n", "20", "--seed", "1", "--out", str(data)])
     policy = _write_policy(tmp_path, "linear")
-    assert (
-        main(["eval-csv", str(data), "--policy", str(policy), "--estimators", "bogus"])
-        == 2
-    )
+    for name in ("bogus", "dr"):
+        assert (
+            main(["eval-csv", str(data), "--policy", str(policy), "--estimators", name])
+            == 2
+        )

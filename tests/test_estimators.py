@@ -79,7 +79,7 @@ def test_robust_is_left_inverse_and_paths_agree():
     rng = np.random.default_rng(2)
     for _ in range(20):
         _, pi0, _, _, transfer, _ = _random_setup(rng)
-        r = robust_reweight(transfer)  # internal assertion covers both paths
+        r = robust_reweight(transfer)  # oracle's robust_paths_agree covers the second path
         assert left_inverse_defect(r, transfer) < 1e-9
 
 
@@ -251,5 +251,5 @@ def test_dr_decomposition_rejects_floored_plugins():
     pi0 = Propensities(np.array([0.5, 0.5]))
     transfer = build_transfer(pi0)
     degenerate = ValuationDist(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="floor"):
+    with pytest.raises(ValueError, match="nonpositive outcome mass"):
         dr_decomposition(transfer, degenerate, pi0)

@@ -162,6 +162,39 @@ def test_batched_losses_agree_with_reference(kind):
     assert np.max(np.abs(fast - slow)) < 1e-9
 
 
+def test_min_variance_is_the_doubly_robust_reward_without_outcome_floor():
+    from priceloss.demand import fit_tlearner
+    from priceloss.estimators import doubly_robust_reward
+
+    rng = np.random.default_rng(8)
+    surface = sample_surface(rng, SurfaceKind.BASE, 10)
+    fit_split = generate_dataset(surface, GenConfig(n=100, d=10), rng)
+    cfg = GenConfig(n=3000, d=10)
+    ds = generate_dataset(surface, cfg, rng)
+    ladder = cfg.ladder
+    model = fit_tlearner(fit_split, ladder)
+    g = model.sale_probs_matrix(ds.features)
+    # the plug-in outcome mass g*pi falls below 1e-4 somewhere, which an
+    # outcome floor at that level would have clipped
+    assert np.any(g * ds.propensities < 1e-4)
+    pm = np.random.default_rng(9).dirichlet(np.ones(ladder.m), size=ds.n)
+    losses = per_record_losses(ds, pm, ladder, EstimatorKind.MIN_VARIANCE, model)
+    rewards = np.array(
+        [
+            doubly_robust_reward(
+                int(ds.price_index[i]),
+                bool(ds.sold[i]),
+                pm[i],
+                ladder.margins * g[i],
+                Propensities(ds.propensities[i]),
+                ladder.margins,
+            )
+            for i in range(ds.n)
+        ]
+    )
+    assert np.max(np.abs(losses + rewards)) < 1e-9
+
+
 def test_estimate_zero_margin_ladder_gives_zero():
     ds, _ = _synthetic_dataset(n=50, seed=3)
     # prices must stay strictly increasing, so "all margins zero" is taken to

@@ -165,6 +165,7 @@ def test_sweeps_pass_and_are_deterministic():
     assert {
         "left_inverse_defect",
         "generalized_inverse_defect",
+        "robust_paths_agree",
         "unbiasedness_exact_expectation",
         "dr_loss_equivalence",
         "dr_matrix_decomposition",
