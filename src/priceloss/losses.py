@@ -36,6 +36,9 @@ probabilities and c the switching weight:
     mv      margins * g
     cmix    margins * (c g + (1 - c) / 2)
 
+The coefficients are affine in mu, so cmix is built as the c-weighted mix of
+the mv and robust coefficient matrices, which equals the formula at its mu.
+
 ``per_record_losses_reference`` reaches the same losses through the explicit
 per-customer left-inverse matrices of ``estimators``.
 """
@@ -100,11 +103,7 @@ def _demand_matrix(demand, features: np.ndarray) -> np.ndarray:
 
 
 def _reward_plugin(
-    dataset: Dataset,
-    ladder: PriceLadder,
-    kind: EstimatorKind,
-    demand,
-    switching_weight: float | None,
+    dataset: Dataset, ladder: PriceLadder, kind: EstimatorKind, demand
 ) -> np.ndarray:
     """The kind's per-rung reward plug-in mu, (n, m) or one row for all records."""
     margins = ladder.margins
@@ -116,13 +115,6 @@ def _reward_plugin(
         return margins / 2.0
     if kind == EstimatorKind.MIN_VARIANCE:
         return margins * _demand_matrix(demand, dataset.features)
-    if kind == EstimatorKind.SWITCHING:
-        if switching_weight is None:
-            raise ValueError("switching estimator needs an explicit weight")
-        if not 0.0 <= switching_weight <= 1.0:
-            raise ValueError("switching weight must lie in [0, 1]")
-        g = _demand_matrix(demand, dataset.features)
-        return margins * (switching_weight * g + (1.0 - switching_weight) / 2.0)
     raise ValueError(f"unknown estimator kind: {kind}")
 
 
@@ -141,9 +133,15 @@ def loss_coefficients(
     m = dataset.m
     if ladder.m != m:
         raise ValueError("ladder size does not match the dataset")
-    mu = np.broadcast_to(
-        _reward_plugin(dataset, ladder, kind, demand, switching_weight), (dataset.n, m)
-    )
+    if kind == EstimatorKind.SWITCHING:
+        if switching_weight is None:
+            raise ValueError("switching estimator needs an explicit weight")
+        if not 0.0 <= switching_weight <= 1.0:
+            raise ValueError("switching weight must lie in [0, 1]")
+        mv = loss_coefficients(dataset, ladder, EstimatorKind.MIN_VARIANCE, demand)
+        rob = loss_coefficients(dataset, ladder, EstimatorKind.ROBUST)
+        return switching_weight * mv + (1.0 - switching_weight) * rob
+    mu = np.broadcast_to(_reward_plugin(dataset, ladder, kind, demand), (dataset.n, m))
     rows = np.arange(dataset.n)
     j0 = dataset.price_index - 1
     observed = ladder.margins[j0] * dataset.sold

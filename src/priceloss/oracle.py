@@ -285,8 +285,9 @@ def inverse_condition_sweep(n_instances: int, seed: int, policies_each: int = 5)
     """Left-inverse and generalized-inverse defects across random instances.
 
     Also rebuilds the robust matrix as the minimum-variance solution at the
-    outcome distribution of the half-never/half-always split, with numpy's
-    general solver, and records how far it lands from ``robust_reweight``.
+    outcome distribution of the half-never/half-always split, through
+    ``min_variance_reweight``, and records how far it lands from
+    ``robust_reweight``.
     """
     worst_left = 0.0
     worst_gen = 0.0
@@ -301,8 +302,7 @@ def inverse_condition_sweep(n_instances: int, seed: int, policies_each: int = 5)
         mv = min_variance_reweight(transfer, fy_plugin)
         rob = robust_reweight(transfer)
         split = transfer.mat[:, 0] + transfer.mat[:, -1]  # = (pi_0; pi_0)
-        weighted = transfer.mat.T / split
-        alt = np.linalg.solve(weighted @ transfer.mat, weighted)
+        alt = min_variance_reweight(transfer, OutcomeDist(split / 2.0)).mat
         worst_paths = max(worst_paths, float(np.max(np.abs(rob.mat - alt))))
         mix = ReweightMatrix(0.3 * mv.mat + 0.7 * rob.mat, EstimatorKind.SWITCHING)
         for reweight in (mv, rob, mix):
