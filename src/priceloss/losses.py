@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .demand import clamp_probs
 from .estimators import (
     EstimatorKind,
     ReweightMatrix,
@@ -94,12 +95,29 @@ def conditional_variance(
 # ---------------------------------------------------------------------------
 
 
-def _demand_matrix(demand, features: np.ndarray) -> np.ndarray:
+def _demand_matrix(demand, dataset: Dataset) -> np.ndarray:
+    """The plug-in's clamped sale probabilities at the dataset's records, (n, m).
+
+    A demand model clamps its own output. A raw array must be (n, m) with
+    finite entries in [0, 1]; it is then clamped the same way.
+    """
     if demand is None:
         raise ValueError("this estimator needs a demand model")
     if hasattr(demand, "sale_probs_matrix"):
-        return np.asarray(demand.sale_probs_matrix(features), dtype=np.float64)
-    return np.asarray(demand, dtype=np.float64)
+        return np.asarray(demand.sale_probs_matrix(dataset.features), dtype=np.float64)
+    g = np.asarray(demand, dtype=np.float64)
+    if g.shape != (dataset.n, dataset.m):
+        raise ValueError(
+            f"demand matrix has shape {g.shape}, expected (n, m) = {(dataset.n, dataset.m)}"
+        )
+    bad = ~((g >= 0.0) & (g <= 1.0))  # also catches nan
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueError(
+            f"demand matrix row {i}, column {j}: {float(g[i, j])!r} "
+            "is not a sale probability in [0, 1]"
+        )
+    return clamp_probs(g)
 
 
 def _reward_plugin(
@@ -114,7 +132,7 @@ def _reward_plugin(
     if kind == EstimatorKind.ROBUST:
         return margins / 2.0
     if kind == EstimatorKind.MIN_VARIANCE:
-        return margins * _demand_matrix(demand, dataset.features)
+        return margins * _demand_matrix(demand, dataset)
     raise ValueError(f"unknown estimator kind: {kind}")
 
 
@@ -197,7 +215,7 @@ def per_record_losses_reference(
     pm = np.atleast_2d(np.asarray(policy_matrix, dtype=np.float64))
     g = None
     if kind in (EstimatorKind.MIN_VARIANCE, EstimatorKind.SWITCHING):
-        g = _demand_matrix(demand, dataset.features)
+        g = _demand_matrix(demand, dataset)
     out = np.empty(dataset.n)
     k = dataset.outcome_indices()
     for i in range(dataset.n):

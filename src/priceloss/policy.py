@@ -3,8 +3,15 @@
 The corrupted losses are linear in the policy's rung probabilities, so the
 objective for a dataset reduces to ``mean_i <softmax(theta [x_i; 1]), coef_i>``
 with the coefficient rows supplied by the losses engine. Gradients therefore
-flow only through the softmax and the optimization is a plain full-batch
-adaptive-moment descent.
+flow only through the softmax.
+
+One full-batch adaptive-moment (Adam) trainer, ``_adam_descent``, solves K
+such problems at once over shared features: theta is (K, m, d + 1) and the
+coefficients are stored rung-major as (K, m, n), so scores ``theta @ Xb.T``
+are (K, m, n) and the softmax and ``<p, coef>`` reduce over the m rungs with
+whole rows of records as vectors. ``optimize_policy`` is the K = 1 call;
+switching-weight cross-validation trains every candidate weight of a fold
+in one call.
 """
 
 from __future__ import annotations
@@ -28,10 +35,17 @@ DESCENT_WINDOW = 200
 DESCENT_SLACK = 1e-6
 
 
+def _softmax_in_place(scores: np.ndarray) -> np.ndarray:
+    """Softmax over axis 1 (the rungs), overwriting and returning ``scores``."""
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=1, keepdims=True)
+    return scores
+
+
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over axis 1: the rungs of (n, m) or rung-major (K, m, n) scores."""
+    return _softmax_in_place(np.array(scores, dtype=np.float64))
 
 
 def with_bias(features: np.ndarray) -> np.ndarray:
@@ -146,7 +160,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -164,23 +177,93 @@ class TrainingDiverged(ArithmeticError):
     pass
 
 
+class _StackedErm:
+    """Mean corrupted loss and gradient of K ERM problems over shared features.
+
+    ``coef_t`` holds each problem's coefficients rung-major, (K, m, n), for
+    the n rows of ``features_bias``. The two (K, m, n) work arrays are made
+    once and reused by every call: allocating them afresh at each descent
+    step costs more in page faults than the arithmetic they hold.
+    """
+
+    def __init__(self, features_bias: np.ndarray, coef_t: np.ndarray):
+        self.features_bias = features_bias
+        self.features_t = np.ascontiguousarray(features_bias.T)
+        self.coef_t = np.ascontiguousarray(coef_t, dtype=np.float64)
+        self.probs = np.empty(self.coef_t.shape)
+        self.weighted = np.empty(self.coef_t.shape)
+
+    def __call__(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Loss (K,) and gradient (K, m, d + 1) at theta (K, m, d + 1)."""
+        k, m, n = self.coef_t.shape
+        probs, weighted = self.probs, self.weighted
+        np.matmul(theta.reshape(k * m, -1), self.features_t, out=probs.reshape(k * m, n))
+        _softmax_in_place(probs)
+        np.multiply(probs, self.coef_t, out=weighted)
+        per_record = weighted.sum(axis=1, keepdims=True)  # (K, 1, n)
+        loss = per_record.mean(axis=2)[:, 0]
+        if not np.all(np.isfinite(loss)):
+            return loss, np.zeros_like(theta)
+        # d loss / d score_kji = p_kji (coef_kji - <p_ki, coef_ki>) / n
+        probs *= per_record
+        weighted -= probs
+        weighted /= n
+        grad = weighted.reshape(k * m, n) @ self.features_bias
+        return loss, grad.reshape(theta.shape)
+
+
 def erm_loss_and_grad(
     theta: np.ndarray, features_bias: np.ndarray, coef: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean corrupted loss and its gradient in theta.
+    """Mean corrupted loss and its gradient in theta (m, d + 1).
 
-    ``coef`` rows are the per-record rung coefficients; the loss is linear
-    in the policy probabilities, so the chain rule stops at the softmax.
+    ``coef`` rows are the per-record rung coefficients, (n, m); the loss is
+    linear in the policy probabilities, so the chain rule stops at the softmax.
     """
-    probs = softmax_rows(features_bias @ theta.T)  # (n, m)
-    per_record = np.sum(probs * coef, axis=1)
-    loss = float(per_record.mean())
-    if not np.isfinite(loss):
-        return loss, np.zeros_like(theta)
-    # d loss / d score_ij = p_ij (coef_ij - <p_i, coef_i>) / n
-    inner = probs * (coef - per_record[:, None]) / coef.shape[0]
-    grad = inner.T @ features_bias  # (m, d + 1)
-    return loss, grad
+    loss, grad = _StackedErm(features_bias, coef.T[None])(theta[None])
+    return float(loss[0]), grad[0]
+
+
+def _adam_descent(
+    features_bias: np.ndarray, coef_t: np.ndarray, cfg: TrainConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Train K linear-softmax policies at once from theta = 0.
+
+    ``coef_t`` is (K, m, n) over the shared (n, d + 1) ``features_bias``.
+    Returns theta (K, m, d + 1), the loss history (K, max_iters + 1) with the
+    final theta's loss last, and the descent-anomaly count of each problem.
+    """
+    objective = _StackedErm(features_bias, coef_t)
+    k, m, _ = coef_t.shape
+    theta = np.zeros((k, m, features_bias.shape[1]))
+    mom = np.zeros_like(theta)
+    vel = np.zeros_like(theta)
+    history = np.empty((k, cfg.max_iters + 1))
+    anomalies = np.zeros(k, dtype=int)
+    for t in range(1, cfg.max_iters + 1):
+        loss, grad = objective(theta)
+        if not np.all(np.isfinite(loss)):
+            raise TrainingDiverged(
+                f"non-finite training loss at iteration {t} "
+                f"(|theta|_max={np.max(np.abs(theta)):.3g})"
+            )
+        history[:, t - 1] = loss
+        if t > DESCENT_WINDOW:
+            rose = loss > history[:, t - 1 - DESCENT_WINDOW] + DESCENT_SLACK
+            if rose.any():
+                anomalies += rose
+                logger.warning(
+                    "empirical loss rose over a %d-iteration window at step %d",
+                    DESCENT_WINDOW,
+                    t,
+                )
+        mom = cfg.beta1 * mom + (1 - cfg.beta1) * grad
+        vel = cfg.beta2 * vel + (1 - cfg.beta2) * grad * grad
+        mhat = mom / (1 - cfg.beta1**t)
+        vhat = vel / (1 - cfg.beta2**t)
+        theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+    history[:, cfg.max_iters], _ = objective(theta)
+    return theta, history, anomalies
 
 
 def optimize_policy(
@@ -197,40 +280,15 @@ def optimize_policy(
     ``coef`` may be supplied to skip recomputing the loss coefficients (they
     do not depend on the policy being trained).
     """
-    cfg = config or TrainConfig()
     if coef is None:
         coef = loss_coefficients(dataset, ladder, kind, demand, switching_weight)
-    Xb = with_bias(dataset.features)
-    theta = np.zeros((ladder.m, Xb.shape[1]))
-    mom = np.zeros_like(theta)
-    vel = np.zeros_like(theta)
-    history = np.empty(cfg.max_iters + 1)
-    anomalies = 0
-    for t in range(1, cfg.max_iters + 1):
-        loss, grad = erm_loss_and_grad(theta, Xb, coef)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(
-                f"non-finite training loss at iteration {t} "
-                f"(|theta|_max={np.max(np.abs(theta)):.3g})"
-            )
-        history[t - 1] = loss
-        if t > DESCENT_WINDOW and loss > history[t - 1 - DESCENT_WINDOW] + DESCENT_SLACK:
-            anomalies += 1
-            logger.warning(
-                "empirical loss rose over a %d-iteration window at step %d",
-                DESCENT_WINDOW,
-                t,
-            )
-        mom = cfg.beta1 * mom + (1 - cfg.beta1) * grad
-        vel = cfg.beta2 * vel + (1 - cfg.beta2) * grad * grad
-        mhat = mom / (1 - cfg.beta1**t)
-        vhat = vel / (1 - cfg.beta2**t)
-        theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
-    history[cfg.max_iters], _ = erm_loss_and_grad(theta, Xb, coef)
+    theta, history, anomalies = _adam_descent(
+        with_bias(dataset.features), coef.T[None], config or TrainConfig()
+    )
     return TrainResult(
-        policy=LinearSoftmaxPolicy(theta=theta, ladder=ladder),
-        loss_history=history,
-        descent_anomalies=anomalies,
+        policy=LinearSoftmaxPolicy(theta=theta[0], ladder=ladder),
+        loss_history=history[0],
+        descent_anomalies=int(anomalies[0]),
     )
 
 
@@ -292,32 +350,26 @@ def select_switching_weight_for_training(
 
     For each candidate weight, train on the complement of each fold and score
     the held-out estimated loss with the same switching estimator; pick the
-    weight with the lowest average held-out loss.
+    weight with the lowest average held-out loss. The candidates' coefficients
+    are built once, and each fold trains all of them in one stacked descent.
     """
     grid = [float(c) for c in grid]
     if not grid or any(not 0.0 <= c <= 1.0 for c in grid):
         raise ValueError("grid must be nonempty within [0, 1]")
     if len(grid) == 1:
         return grid[0]
+    cfg = config or TrainConfig()
     coef_mv = loss_coefficients(dataset, ladder, EstimatorKind.MIN_VARIANCE, demand)
     coef_rob = loss_coefficients(dataset, ladder, EstimatorKind.ROBUST)
-    slices = _fold_slices(dataset.n, min(folds, dataset.n))
-    mask = np.ones(dataset.n, dtype=bool)
-    best_c, best_loss = grid[0], np.inf
-    for c in grid:
-        coef = c * coef_mv + (1.0 - c) * coef_rob
-        held_out = 0.0
-        for s in slices:
-            if s.size == 0 or s.size == dataset.n:
-                continue
-            mask[:] = True
-            mask[s] = False
-            train = dataset.subset(np.nonzero(mask)[0])
-            result = optimize_policy(
-                train, ladder, EstimatorKind.SWITCHING, config=config, coef=coef[mask]
-            )
-            probs = result.policy.probs_matrix(dataset.features[s])
-            held_out += float(np.sum(probs * coef[s]) / s.size)
-        if held_out < best_loss:
-            best_c, best_loss = c, held_out
-    return best_c
+    coef_t = np.stack([c * coef_mv.T + (1.0 - c) * coef_rob.T for c in grid])
+    Xb = with_bias(dataset.features)
+    held_out = np.zeros(len(grid))
+    for s in _fold_slices(dataset.n, min(folds, dataset.n)):
+        if s.size == 0 or s.size == dataset.n:
+            continue
+        train = np.ones(dataset.n, dtype=bool)
+        train[s] = False
+        theta, _, _ = _adam_descent(Xb[train], coef_t[:, :, train], cfg)
+        probs = softmax_rows(theta @ Xb[s].T)
+        held_out += np.sum(probs * coef_t[:, :, s], axis=(1, 2)) / s.size
+    return grid[int(np.argmin(held_out))]

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -172,6 +173,30 @@ def test_sweep_with_config_and_byte_identical_reruns(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
     header = out_a.read_text().splitlines()[0]
     assert header == ",".join(bench.RESULT_COLUMNS)
+
+
+def test_learn_sweep_trains_every_estimator_and_reruns_byte_identical(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "experiment": "learn-sweep",
+                "n_grid": [60],
+                "reps": 2,
+                "seed": 3,
+                "train": {"iters": 100},
+            }
+        )
+    )
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["learn-sweep", "--config", str(config), "--out", str(out_a)]) == 0
+    assert main(["learn-sweep", "--config", str(config), "--out", str(out_b)]) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+    with open(out_a, newline="") as f:
+        rows = list(csv.DictReader(f))
+    means = {r["method"]: float(r["value"]) for r in rows if r["metric"] == "reward_mean"}
+    assert set(means) == set(bench.DEFAULT_ESTIMATORS)
+    assert all(np.isfinite(v) for v in means.values())
 
 
 def test_sweep_rows_carry_seed_and_hash(tmp_path):

@@ -234,3 +234,20 @@ def test_missing_demand_model_raises():
         estimate_policy_value(
             ds, pm, ladder, EstimatorKind.SWITCHING, demand=np.full((ds.n, 5), 0.5)
         )
+
+
+def test_raw_demand_matrix_is_clamped_and_checked():
+    ds, ladder = _synthetic_dataset(n=20, seed=8)
+    pm = np.random.default_rng(9).dirichlet(np.ones(5), size=ds.n)
+    ones = np.ones((ds.n, 5))
+    for kind, weight in ((EstimatorKind.MIN_VARIANCE, None), (EstimatorKind.SWITCHING, 0.4)):
+        batched = per_record_losses(ds, pm, ladder, kind, ones, weight)
+        reference = per_record_losses_reference(ds, pm, ladder, kind, ones, weight)
+        assert np.max(np.abs(batched - reference)) < 1e-9
+    bad = np.full((ds.n, 5), 0.5)
+    bad[3, 2] = 1.5
+    for path in (per_record_losses, per_record_losses_reference):
+        with pytest.raises(ValueError, match=r"row 3, column 2: 1\.5"):
+            path(ds, pm, ladder, EstimatorKind.MIN_VARIANCE, bad)
+    with pytest.raises(ValueError, match="shape"):
+        per_record_losses(ds, pm, ladder, EstimatorKind.MIN_VARIANCE, bad[:, :4])

@@ -11,6 +11,8 @@ from priceloss.policy import (
     GreedyDemandPolicy,
     LinearSoftmaxPolicy,
     TrainConfig,
+    _adam_descent,
+    _fold_slices,
     erm_loss_and_grad,
     optimize_policy,
     policy_probs,
@@ -225,3 +227,52 @@ def test_non_finite_loss_raises():
     coef = np.full((20, 5), np.inf)
     with pytest.raises(ArithmeticError, match="non-finite"):
         optimize_policy(ds, LADDER, EstimatorKind.ROBUST, coef=coef, config=TrainConfig(max_iters=5))
+
+
+def _cv_choice_one_fit_at_a_time(ds, demand, grid, folds, cfg):
+    coef_mv = loss_coefficients(ds, LADDER, EstimatorKind.MIN_VARIANCE, demand)
+    coef_rob = loss_coefficients(ds, LADDER, EstimatorKind.ROBUST)
+    held_out = []
+    for c in grid:
+        coef = c * coef_mv + (1.0 - c) * coef_rob
+        total = 0.0
+        for s in _fold_slices(ds.n, folds):
+            train = np.setdiff1d(np.arange(ds.n), s)
+            result = optimize_policy(
+                ds.subset(train), LADDER, EstimatorKind.SWITCHING, config=cfg, coef=coef[train]
+            )
+            total += float(np.sum(result.policy.probs_matrix(ds.features[s]) * coef[s]) / s.size)
+        held_out.append(total)
+    return grid[int(np.argmin(held_out))]
+
+
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_stacked_cross_validation_matches_one_fit_at_a_time(seed):
+    ds = _dataset(n=120, seed=seed)
+    demand = fit_tlearner(_dataset(n=100, seed=seed + 100), LADDER)
+    grid = tuple(np.linspace(0.0, 1.0, 5))
+    cfg = TrainConfig(max_iters=300)
+    expected = _cv_choice_one_fit_at_a_time(ds, demand, grid, 4, cfg)
+    chosen = select_switching_weight_for_training(
+        ds, LADDER, demand, grid=grid, folds=4, config=cfg
+    )
+    assert chosen == expected
+
+
+def test_stacked_descent_matches_each_problem_alone():
+    ds = _dataset(n=90, seed=23)
+    coefs = [
+        loss_coefficients(ds, LADDER, EstimatorKind.ROBUST),
+        loss_coefficients(ds, LADDER, EstimatorKind.CIPS),
+        loss_coefficients(ds, LADDER, EstimatorKind.IPS),
+    ]
+    cfg = TrainConfig(max_iters=250)
+    theta, history, anomalies = _adam_descent(
+        with_bias(ds.features), np.stack([c.T for c in coefs]), cfg
+    )
+    assert theta.shape == (3, 5, ds.features.shape[1] + 1)
+    for k, coef in enumerate(coefs):
+        alone = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, config=cfg, coef=coef)
+        assert np.max(np.abs(theta[k] - alone.policy.theta)) < 1e-12
+        assert np.max(np.abs(history[k] - alone.loss_history)) < 1e-12
+        assert anomalies[k] == alone.descent_anomalies
