@@ -40,8 +40,6 @@ from .demand import (
     FittedDemandModel,
     blend_alpha,
     fit_tlearner,
-    outcome_dist_from_demand,
-    valuation_dist_and_rewards,
 )
 from .policy import (
     ConstantPolicy,

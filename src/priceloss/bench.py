@@ -336,12 +336,3 @@ def write_rows(rows: list[ResultRow], path_or_buf) -> None:
         if own:
             f.close()
 
-
-def aggregate_value(rows: list[ResultRow], method: str, metric: str, **match) -> tuple[float, float]:
-    """Pull (mean, stderr) of one aggregate cell out of a result list."""
-    for row in rows:
-        if row.method != method or row.metric != metric or row.stderr is None:
-            continue
-        if all(getattr(row, k) == v for k, v in match.items()):
-            return row.value, row.stderr
-    raise KeyError(f"no aggregate row for method={method} metric={metric} {match}")

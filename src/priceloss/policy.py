@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandModel, FitConfig, fit_tlearner
+from .demand import DemandModel, fit_tlearner
 from .estimators import EstimatorKind
 from .ladder import Dataset, PolicyDist, PriceLadder
 from .losses import loss_coefficients
@@ -58,9 +58,6 @@ class Policy:
 
     def probs_matrix(self, features: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def probs(self, x: np.ndarray) -> PolicyDist:
-        return PolicyDist(self.probs_matrix(np.atleast_2d(x))[0])
 
 
 @dataclass
@@ -138,13 +135,11 @@ def policy_probs(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return softmax_rows(with_bias(x) @ theta.T)[0]
 
 
-def target_policy_for_evaluation(
-    train_split: Dataset, ladder: PriceLadder, fit_config: FitConfig | None = None
-) -> GreedyDemandPolicy:
+def target_policy_for_evaluation(train_split: Dataset, ladder: PriceLadder) -> GreedyDemandPolicy:
     """The to-be-evaluated policy: greedy on a demand fit from a small split."""
     if train_split.n == 0:
         raise ValueError("target policy needs a nonempty training split")
-    model = fit_tlearner(train_split, ladder, fit_config)
+    model = fit_tlearner(train_split, ladder)
     return GreedyDemandPolicy(demand=model, ladder=ladder)
 
 
@@ -157,9 +152,6 @@ def target_policy_for_evaluation(
 class TrainConfig:
     learning_rate: float = 0.05
     max_iters: int = 2000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -224,6 +216,12 @@ def erm_loss_and_grad(
     return float(loss[0]), grad[0]
 
 
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 def _adam_descent(
     features_bias: np.ndarray, coef_t: np.ndarray, cfg: TrainConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,11 +255,11 @@ def _adam_descent(
                     DESCENT_WINDOW,
                     t,
                 )
-        mom = cfg.beta1 * mom + (1 - cfg.beta1) * grad
-        vel = cfg.beta2 * vel + (1 - cfg.beta2) * grad * grad
-        mhat = mom / (1 - cfg.beta1**t)
-        vhat = vel / (1 - cfg.beta2**t)
-        theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + cfg.eps)
+        mom = ADAM_BETA1 * mom + (1 - ADAM_BETA1) * grad
+        vel = ADAM_BETA2 * vel + (1 - ADAM_BETA2) * grad * grad
+        mhat = mom / (1 - ADAM_BETA1**t)
+        vhat = vel / (1 - ADAM_BETA2**t)
+        theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
     history[:, cfg.max_iters], _ = objective(theta)
     return theta, history, anomalies
 

@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
 
+from priceloss import demand
 from priceloss.demand import (
     DemandModel,
-    FitConfig,
     FittedDemandModel,
     blend_alpha,
     clamp_probs,
     fit_tlearner,
-    isotonic_nonincreasing,
-    outcome_dist_from_demand,
-    repaired_survival,
-    valuation_dist_and_rewards,
+    sigmoid,
 )
-from priceloss.ladder import Dataset, PriceLadder, Propensities
+from priceloss.ladder import Dataset, PriceLadder
 from priceloss.synthgen import GenConfig, SurfaceKind, generate_dataset, sample_surface
-from priceloss.transfer import build_transfer
 
 
 def _dataset(n, seed=0, d=4):
@@ -125,91 +121,62 @@ def test_blend_midpoint_arithmetic():
     assert np.isclose(out[0, 0], 0.31)
 
 
-def test_outcome_dist_from_demand():
-    class Fixed(DemandModel):
-        m = 2
-
-        def sale_probs_matrix(self, features):
-            return np.tile([0.6, 0.4], (np.atleast_2d(features).shape[0], 1))
-
-    out = outcome_dist_from_demand(Fixed(), Propensities(np.array([0.5, 0.5])), np.zeros(3))
-    assert np.allclose(out.probs, [0.3, 0.2, 0.2, 0.3])
-
-    class Single(DemandModel):
-        m = 1
-
-        def sale_probs_matrix(self, features):
-            return np.full((np.atleast_2d(features).shape[0], 1), 0.6)
-
-    out = outcome_dist_from_demand(Single(), Propensities(np.array([1.0])), np.zeros(3))
-    assert np.allclose(out.probs, [0.6, 0.4])
+def _rung_gradient(model, ds, j):
+    """Rung j's penalized log-loss gradient over its own rows."""
+    rows = ds.price_index == j + 1
+    xb = np.hstack([ds.features[rows], np.ones((rows.sum(), 1))])
+    w = model.weights[j]
+    p = sigmoid(xb @ w)
+    return xb.T @ (p - ds.sold[rows]) / rows.sum() + demand.L2_PENALTY * w
 
 
-def test_outcome_dist_certain_sale_sits_at_clamp():
-    class AlwaysSells(DemandModel):
-        m = 2
+def test_fit_is_the_exact_penalized_optimum():
+    ladder = PriceLadder(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    for seed, n in [(11, 100), (12, 500), (13, 2000)]:
+        ds = _dataset(n=n, seed=seed)
+        model = fit_tlearner(ds, ladder)
+        assert model.weights.shape == (ladder.m, ds.d + 1)
+        for j in range(ladder.m):
+            assert np.max(np.abs(_rung_gradient(model, ds, j))) < 1e-8
 
-        def sale_probs_matrix(self, features):
-            return np.ones((np.atleast_2d(features).shape[0], 2))
 
-    out = outcome_dist_from_demand(
-        AlwaysSells(), Propensities(np.array([0.5, 0.5])), np.zeros(1)
+def test_joint_fit_matches_each_rung_fitted_alone():
+    ds = _dataset(n=400, seed=14)
+    ladder = PriceLadder(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+    joint = fit_tlearner(ds, ladder)
+    for j in range(ladder.m):
+        rows = ds.price_index == j + 1
+        alone = Dataset(
+            features=ds.features[rows],
+            price_index=np.ones(rows.sum(), dtype=int),
+            sold=ds.sold[rows],
+            propensities=np.ones((rows.sum(), 1)),
+        )
+        single = fit_tlearner(alone, PriceLadder(ladder.prices[j : j + 1]))
+        assert np.max(np.abs(joint.weights[j] - single.weights[0])) < 1e-10
+
+
+def test_hand_written_json_predicts_logistic_per_rung():
+    weights = [[0.5, -1.0, 0.2], [0.0, 2.0, -0.3]]
+    text = '{"type": "per_price_logistic", "weights": %s}' % weights
+    model = FittedDemandModel.from_json(text)
+    x = np.array([[0.0, 0.0], [1.0, -0.5], [-2.0, 0.25], [0.3, 0.7]])
+    expected = np.column_stack(
+        [1.0 / (1.0 + np.exp(-(x @ np.array(w[:2]) + w[2]))) for w in weights]
     )
-    assert np.all(out.probs[2:] <= 1e-4)
+    assert model.m == 2
+    assert np.allclose(model.sale_probs_matrix(x), expected, rtol=0, atol=1e-15)
+    assert model.to_json() == FittedDemandModel.from_json(model.to_json()).to_json()
+    with pytest.raises(ValueError, match="unsupported"):
+        FittedDemandModel.from_json('{"type": "tree", "weights": []}')
+    with pytest.raises(ValueError, match="must be"):
+        FittedDemandModel.from_json('{"type": "per_price_logistic", "weights": [0.5, 0.2]}')
 
 
-def test_isotonic_nonincreasing_examples():
-    assert np.allclose(isotonic_nonincreasing([0.4, 0.5]), [0.45, 0.45])
-    assert np.allclose(isotonic_nonincreasing([0.9, 0.5, 0.2]), [0.9, 0.5, 0.2])
-    out = isotonic_nonincreasing([0.2, 0.6, 0.5, 0.9])
-    assert np.all(np.diff(out) <= 1e-12)
-    # projection preserves the mean
-    assert np.isclose(out.mean(), np.mean([0.2, 0.6, 0.5, 0.9]))
-
-
-def test_valuation_and_rewards_hand_example():
-    class Fixed(DemandModel):
-        m = 2
-
-        def sale_probs_matrix(self, features):
-            return np.tile([0.8, 0.5], (np.atleast_2d(features).shape[0], 1))
-
-    ladder = PriceLadder(np.array([1.0, 2.0]))
-    fv, mu = valuation_dist_and_rewards(Fixed(), ladder, np.zeros(2))
-    assert np.allclose(fv.probs, [0.2, 0.3, 0.5])
-    assert np.allclose(mu, [0.8, 1.0])
-
-
-def test_valuation_repair_on_non_monotone_predictions():
-    class Wiggly(DemandModel):
-        m = 2
-
-        def sale_probs_matrix(self, features):
-            return np.tile([0.4, 0.5], (np.atleast_2d(features).shape[0], 1))
-
-    ladder = PriceLadder(np.array([1.0, 2.0]))
-    fv, mu = valuation_dist_and_rewards(Wiggly(), ladder, np.zeros(2))
-    assert np.allclose(repaired_survival([0.4, 0.5]), [0.45, 0.45])
-    assert np.all(fv.probs >= 0)
-    assert np.allclose(mu, [0.45, 0.9])
-
-
-def test_consistency_triangle():
-    # push-forward of the repaired valuation mass equals the outcome law
-    # rebuilt from the repaired survival curve
-    rng = np.random.default_rng(6)
-    ladder = PriceLadder(np.array([1.0, 2.0, 3.0]))
-    pi0 = Propensities(np.array([0.2, 0.3, 0.5]))
-    transfer = build_transfer(pi0)
-    for _ in range(50):
-        g = rng.uniform(0.05, 0.95, size=3)
-        survival = repaired_survival(g)
-        from priceloss.demand import survival_to_valuation_probs
-
-        fv = survival_to_valuation_probs(survival)
-        lhs = transfer.mat @ fv
-        rhs = np.concatenate([survival * pi0.probs, (1 - survival) * pi0.probs])
-        assert np.max(np.abs(lhs - rhs)) < 1e-9
+def test_fit_fails_loudly_at_the_newton_step_cap(monkeypatch):
+    monkeypatch.setattr(demand, "MAX_NEWTON_STEPS", 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        fit_tlearner(_dataset(n=100, seed=15), PriceLadder(np.arange(1.0, 6.0)))
 
 
 def test_fitted_model_serialization_round_trip():
