@@ -5,13 +5,11 @@ demand models, policy evaluation/optimization, and brute-force verifiers.
 
 from .ladder import (
     Dataset,
-    ObservedRecord,
     OutcomeDist,
     PolicyDist,
     PriceLadder,
     Propensities,
     ValuationDist,
-    outcome_index,
     read_csv,
     validate,
     write_csv,
@@ -45,7 +43,6 @@ from .policy import (
     ConstantPolicy,
     GreedyDemandPolicy,
     LinearSoftmaxPolicy,
-    TrainConfig,
     optimize_policy,
     select_switching_weight,
     target_policy_for_evaluation,

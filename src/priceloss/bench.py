@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .estimators import EstimatorKind
 from .ladder import Dataset, PriceLadder
 from .losses import estimate_policy_value, loss_coefficients
 from .policy import (
-    TrainConfig,
     optimize_policy,
     select_switching_weight,
     select_switching_weight_for_training,
@@ -74,18 +73,11 @@ class BenchConfig:
     n_policy_train: int = 100  # split used to build the evaluated policy
     n_demand_fit: int = 100  # independent split used to fit the plug-in demand
     test_size: int = 10000
-    train: dict = field(default_factory=lambda: {"lr": 0.05, "iters": 2000})
     cv_folds: int = 5
     workers: int = 1
 
     def price_ladder(self) -> PriceLadder:
         return PriceLadder(np.asarray(self.ladder, dtype=np.float64), self.unit_cost)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=float(self.train.get("lr", 0.05)),
-            max_iters=int(self.train.get("iters", 2000)),
-        )
 
     def config_hash(self) -> str:
         doc = json.dumps(asdict(self), sort_keys=True, default=str)
@@ -187,16 +179,15 @@ def learn_replication(
     demand = _plugin_demand(cfg, surface, ladder, alpha, rng)
     test = generate_dataset(surface, _gen_config(cfg, cfg.test_size), rng)
 
-    tc = cfg.train_config()
     out: dict[str, float] = {}
     for name in cfg.estimators:
         weight = None
         if name == "cmix":
             weight = select_switching_weight_for_training(
-                obs, ladder, demand, folds=cfg.cv_folds, config=tc
+                obs, ladder, demand, folds=cfg.cv_folds
             )
         result = optimize_policy(
-            obs, ladder, EstimatorKind(name), demand, config=tc, switching_weight=weight
+            obs, ladder, EstimatorKind(name), demand, switching_weight=weight
         )
         test_pm = result.policy.probs_matrix(test.features)
         out[name] = -true_policy_value(test_pm, test.valuations, ladder)

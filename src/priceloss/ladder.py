@@ -143,35 +143,6 @@ class PolicyDist:
         return int(self.probs.size)
 
 
-def outcome_index(price_index: int, sold: bool, m: int) -> int:
-    """Map (prescribed price 1..m, sale flag) to the outcome slot 0..2m-1."""
-    if not 1 <= price_index <= m:
-        raise ValueError(f"price index {price_index} out of range 1..{m}")
-    return price_index - 1 if sold else m + price_index - 1
-
-
-@dataclass(frozen=True)
-class ObservedRecord:
-    """One customer: features, prescribed price, sale outcome, optional latent."""
-
-    features: np.ndarray
-    price_index: int  # 1-based rung
-    sold: bool
-    latent_valuation: int | None = None  # 0..m, synthetic data only
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "features", np.asarray(self.features, dtype=np.float64)
-        )
-        if self.latent_valuation is not None:
-            consistent = self.sold == (self.price_index <= self.latent_valuation)
-            if not consistent:
-                raise ValueError(
-                    "record is inconsistent: sold flag does not match the "
-                    "latent valuation at the prescribed price"
-                )
-
-
 @dataclass
 class Dataset:
     """Column-oriented container for observed records.

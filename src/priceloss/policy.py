@@ -3,13 +3,19 @@
 The corrupted losses are linear in the policy's rung probabilities, so the
 objective for a dataset reduces to ``mean_i <softmax(theta [x_i; 1]), coef_i>``
 with the coefficient rows supplied by the losses engine. Gradients therefore
-flow only through the softmax.
+flow only through the softmax. Pushing the softmax toward a vertex keeps
+lowering that objective, so training adds an L2 penalty ``ERM_L2 / 2 *
+|theta|^2`` on every weight, bias included; the penalized problem has finite
+stationary points, and a trained policy is one of them.
 
-One full-batch adaptive-moment (Adam) trainer, ``_adam_descent``, solves K
-such problems at once over shared features: theta is (K, m, d + 1) and the
-coefficients are stored rung-major as (K, m, n), so scores ``theta @ Xb.T``
-are (K, m, n) and the softmax and ``<p, coef>`` reduce over the m rungs with
-whole rows of records as vectors. ``optimize_policy`` is the K = 1 call;
+One damped-Newton (Levenberg-Marquardt) trainer, ``_damped_newton_descent``,
+solves K such problems at once over shared features: theta is
+(K, m, d + 1) and the coefficients are stored rung-major as (K, m, n), so
+scores ``theta @ Xb.T`` are (K, m, n) and the softmax and ``<p, coef>``
+reduce over the m rungs with whole rows of records as vectors. Each step
+builds every problem's m(d + 1)-square Hessian with one matrix product and
+solves all the damped Newton systems with one batched solve; each problem
+stops on its own gradient tolerance. ``optimize_policy`` is the K = 1 call;
 switching-weight cross-validation trains every candidate weight of a fold
 in one call.
 """
@@ -17,7 +23,6 @@ in one call.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +31,6 @@ from .demand import DemandModel, fit_tlearner
 from .estimators import EstimatorKind
 from .ladder import Dataset, PolicyDist, PriceLadder
 from .losses import loss_coefficients
-
-logger = logging.getLogger(__name__)
-
-# Empirical loss rising by more than this over a 200-iteration window is
-# logged as a descent anomaly (diagnostic only).
-DESCENT_WINDOW = 200
-DESCENT_SLACK = 1e-6
 
 
 def _softmax_in_place(scores: np.ndarray) -> np.ndarray:
@@ -129,12 +127,6 @@ class GreedyDemandPolicy(Policy):
         return out
 
 
-def policy_probs(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Softmax rung probabilities for a single customer."""
-    theta = np.asarray(theta, dtype=np.float64)
-    return softmax_rows(with_bias(x) @ theta.T)[0]
-
-
 def target_policy_for_evaluation(train_split: Dataset, ladder: PriceLadder) -> GreedyDemandPolicy:
     """The to-be-evaluated policy: greedy on a demand fit from a small split."""
     if train_split.n == 0:
@@ -147,22 +139,39 @@ def target_policy_for_evaluation(train_split: Dataset, ladder: PriceLadder) -> G
 # Empirical risk minimization
 # ---------------------------------------------------------------------------
 
+# Every problem minimizes its mean corrupted loss + ERM_L2 / 2 * |theta|^2
+# (bias included). The loss is linear in the rung probabilities, so without
+# the penalty pushing the softmax toward a vertex keeps paying and there is no
+# finite minimizer. The data gradient sums to zero across rungs, so with the
+# bias unpenalized the Hessian would be singular along a common bias shift.
+# A problem stops once each entry of its penalized gradient is below
+# GRAD_TOL. In a 100-rep learn-sweep at n = 100 and 500 (10 800 descents)
+# the median problem took 23 steps and the slowest 116.
+ERM_L2 = 1e-2
+GRAD_TOL = 1e-8
+MAX_DESCENT_STEPS = 500
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.05
-    max_iters: int = 2000
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+# Levenberg-Marquardt damping: its starting value, and the factors applied
+# after a step that lowered the loss and after one that did not.
+DAMPING_START = 1.0
+DAMPING_SHRINK = 0.5
+DAMPING_GROW = 10.0
 
 
 @dataclass
 class TrainResult:
+    """A trained policy and how its descent went.
+
+    ``steps`` counts damped Newton solves, rejected steps included.
+    ``loss_history`` holds the penalized loss at theta = 0 and after each
+    step (``steps + 1`` entries); it never rises. ``grad_max`` is the final
+    penalized gradient's max |entry|, below ``GRAD_TOL``.
+    """
+
     policy: LinearSoftmaxPolicy
     loss_history: np.ndarray
-    descent_anomalies: int = 0
+    steps: int
+    grad_max: float
 
 
 class TrainingDiverged(ArithmeticError):
@@ -170,98 +179,146 @@ class TrainingDiverged(ArithmeticError):
 
 
 class _StackedErm:
-    """Mean corrupted loss and gradient of K ERM problems over shared features.
+    """Penalized mean corrupted loss of K ERM problems over shared features.
 
     ``coef_t`` holds each problem's coefficients rung-major, (K, m, n), for
-    the n rows of ``features_bias``. The two (K, m, n) work arrays are made
-    once and reused by every call: allocating them afresh at each descent
-    step costs more in page faults than the arithmetic they hold.
+    the n rows of ``features_bias``. Calling the objective at theta
+    (K, m, d + 1) returns the K losses and keeps what ``derivatives`` needs
+    for the gradient and Hessian at that theta. The work arrays are made once
+    and reused by every call: allocating them afresh at each step costs more
+    in page faults than the arithmetic they hold.
     """
 
     def __init__(self, features_bias: np.ndarray, coef_t: np.ndarray):
+        n, width = features_bias.shape
         self.features_bias = features_bias
         self.features_t = np.ascontiguousarray(features_bias.T)
+        # x_i x_i^T of every record, flattened: (n, (d + 1)^2).
+        self.outer = (features_bias[:, :, None] * features_bias[:, None, :]).reshape(n, -1)
         self.coef_t = np.ascontiguousarray(coef_t, dtype=np.float64)
+        k, m, _ = self.coef_t.shape
         self.probs = np.empty(self.coef_t.shape)
-        self.weighted = np.empty(self.coef_t.shape)
+        self.score_grad = np.empty(self.coef_t.shape)
+        self.hess_weights = np.empty((k, m, m, n))
 
-    def __call__(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Loss (K,) and gradient (K, m, d + 1) at theta (K, m, d + 1)."""
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        """Penalized loss (K,) at theta (K, m, d + 1)."""
         k, m, n = self.coef_t.shape
-        probs, weighted = self.probs, self.weighted
+        probs, score_grad = self.probs, self.score_grad
         np.matmul(theta.reshape(k * m, -1), self.features_t, out=probs.reshape(k * m, n))
         _softmax_in_place(probs)
-        np.multiply(probs, self.coef_t, out=weighted)
-        per_record = weighted.sum(axis=1, keepdims=True)  # (K, 1, n)
+        np.multiply(probs, self.coef_t, out=score_grad)
+        per_record = score_grad.sum(axis=1, keepdims=True)  # (K, 1, n)
         loss = per_record.mean(axis=2)[:, 0]
-        if not np.all(np.isfinite(loss)):
-            return loss, np.zeros_like(theta)
-        # d loss / d score_kji = p_kji (coef_kji - <p_ki, coef_ki>) / n
-        probs *= per_record
-        weighted -= probs
-        weighted /= n
-        grad = weighted.reshape(k * m, n) @ self.features_bias
-        return loss, grad.reshape(theta.shape)
+        loss += 0.5 * ERM_L2 * np.einsum("kjd,kjd->k", theta, theta)
+        if np.all(np.isfinite(loss)):
+            # d loss / d score_kji = p_kji (coef_kji - <p_ki, coef_ki>) / n
+            score_grad -= probs * per_record
+            score_grad /= n
+        return loss
+
+    def derivatives(
+        self, theta: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient (R, m, d + 1) and Hessian (R, m(d + 1), m(d + 1)) of the
+        problems ``rows`` (ascending) at the theta of the last call. It uses up
+        that call's work arrays, so call it at most once per objective call."""
+        _, m, n = self.coef_t.shape
+        width = self.features_bias.shape[1]
+        r = rows.size
+        # Move the rows' work arrays to the front in place: a fresh copy of
+        # each would stay alive through the Hessian product below.
+        self.probs[:r], self.score_grad[:r] = self.probs[rows], self.score_grad[rows]
+        probs, score_grad = self.probs[:r], self.score_grad[:r]
+        grad = (score_grad.reshape(r * m, n) @ self.features_bias).reshape(r, m, width)
+        grad += ERM_L2 * theta[rows]
+        # The per-record score Hessian is d_jl g_j - p_j g_l - g_j p_l, with g
+        # the score gradient. With w_jl = p_j g_l - d_jl g_j / 2 summed against
+        # x x^T into A, the data Hessian is -(A + A^T).
+        weights = self.hess_weights[:r]
+        np.multiply(probs[:, :, None], score_grad[:, None], out=weights)
+        probs -= 0.5  # for the diagonal w_jj = (p_j - 1/2) g_j
+        np.multiply(probs, score_grad, out=weights.reshape(r, m * m, n)[:, :: m + 1])
+        blocks = (weights.reshape(r * m * m, n) @ self.outer).reshape(r, m, m, width, width)
+        hess = np.add(blocks.transpose(0, 1, 3, 2, 4), blocks.transpose(0, 2, 4, 1, 3))
+        hess = hess.reshape(r, m * width, m * width)
+        np.negative(hess, out=hess)
+        _add_to_diagonal(hess, ERM_L2)
+        return grad, hess
 
 
-def erm_loss_and_grad(
-    theta: np.ndarray, features_bias: np.ndarray, coef: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean corrupted loss and its gradient in theta (m, d + 1).
-
-    ``coef`` rows are the per-record rung coefficients, (n, m); the loss is
-    linear in the policy probabilities, so the chain rule stops at the softmax.
-    """
-    loss, grad = _StackedErm(features_bias, coef.T[None])(theta[None])
-    return float(loss[0]), grad[0]
-
-
-# Adam's moment decay rates and denominator guard.
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
-
-
-def _adam_descent(
-    features_bias: np.ndarray, coef_t: np.ndarray, cfg: TrainConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _damped_newton_descent(
+    features_bias: np.ndarray, coef_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Train K linear-softmax policies at once from theta = 0.
 
     ``coef_t`` is (K, m, n) over the shared (n, d + 1) ``features_bias``.
-    Returns theta (K, m, d + 1), the loss history (K, max_iters + 1) with the
-    final theta's loss last, and the descent-anomaly count of each problem.
+    Each problem takes Levenberg-Marquardt steps ``(H + mu I) s = -grad``,
+    all solved together, and keeps a step only where it lowers that problem's
+    penalized loss. A problem stops once its gradient is below ``GRAD_TOL``,
+    so each problem's steps are those of solving it alone. Returns theta
+    (K, m, d + 1), the penalized loss history (K, max steps + 1) with entry t
+    the loss after step t, each problem's step count, and each final
+    gradient's max |entry|. Raises ``TrainingDiverged`` on a non-finite loss
+    or when a problem has not converged in ``MAX_DESCENT_STEPS`` steps.
     """
     objective = _StackedErm(features_bias, coef_t)
     k, m, _ = coef_t.shape
     theta = np.zeros((k, m, features_bias.shape[1]))
-    mom = np.zeros_like(theta)
-    vel = np.zeros_like(theta)
-    history = np.empty((k, cfg.max_iters + 1))
-    anomalies = np.zeros(k, dtype=int)
-    for t in range(1, cfg.max_iters + 1):
-        loss, grad = objective(theta)
-        if not np.all(np.isfinite(loss)):
-            raise TrainingDiverged(
-                f"non-finite training loss at iteration {t} "
-                f"(|theta|_max={np.max(np.abs(theta)):.3g})"
-            )
-        history[:, t - 1] = loss
-        if t > DESCENT_WINDOW:
-            rose = loss > history[:, t - 1 - DESCENT_WINDOW] + DESCENT_SLACK
-            if rose.any():
-                anomalies += rose
-                logger.warning(
-                    "empirical loss rose over a %d-iteration window at step %d",
-                    DESCENT_WINDOW,
-                    t,
-                )
-        mom = ADAM_BETA1 * mom + (1 - ADAM_BETA1) * grad
-        vel = ADAM_BETA2 * vel + (1 - ADAM_BETA2) * grad * grad
-        mhat = mom / (1 - ADAM_BETA1**t)
-        vhat = vel / (1 - ADAM_BETA2**t)
-        theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    history[:, cfg.max_iters], _ = objective(theta)
-    return theta, history, anomalies
+    loss = _finite_loss(objective, theta, 0)
+    grad, hess = objective.derivatives(theta, np.arange(k))
+    grad_max = np.max(np.abs(grad), axis=(1, 2))
+    damping = np.full(k, DAMPING_START)
+    steps = np.zeros(k, dtype=int)
+    history = np.empty((k, MAX_DESCENT_STEPS + 1))
+    history[:, 0] = loss
+    for t in range(1, MAX_DESCENT_STEPS + 1):
+        active = np.flatnonzero(~(grad_max < GRAD_TOL))
+        if active.size == 0:
+            break
+        trial = theta.copy()
+        trial[active] -= _damped_newton_step(hess[active], grad[active], damping[active])
+        trial_loss = _finite_loss(objective, trial, t)
+        lowered = trial_loss[active] < loss[active]
+        better = active[lowered]
+        damping[better] *= DAMPING_SHRINK
+        damping[active[~lowered]] *= DAMPING_GROW
+        steps[active] = t
+        if better.size:
+            theta[better] = trial[better]
+            loss[better] = trial_loss[better]
+            grad[better], hess[better] = objective.derivatives(trial, better)
+            grad_max[better] = np.max(np.abs(grad[better]), axis=(1, 2))
+        history[:, t] = loss
+    if not np.all(grad_max < GRAD_TOL):
+        raise TrainingDiverged(
+            f"training did not converge in {MAX_DESCENT_STEPS} steps "
+            f"(max |gradient| {np.max(grad_max):.3g})"
+        )
+    return theta, history[:, : steps.max() + 1], steps, grad_max
+
+
+def _damped_newton_step(hess: np.ndarray, grad: np.ndarray, damping: np.ndarray) -> np.ndarray:
+    """Solve ``(H + mu I) s = grad`` for each problem, overwriting ``hess``."""
+    _add_to_diagonal(hess, damping[:, None])
+    return np.linalg.solve(hess, grad.reshape(len(grad), -1, 1)).reshape(grad.shape)
+
+
+def _add_to_diagonal(matrices: np.ndarray, value) -> None:
+    """Add ``value`` (a scalar or one per matrix, (R, 1)) to the diagonal of
+    each of the (R, s, s) ``matrices`` in place."""
+    size = matrices.shape[-1]
+    matrices.reshape(matrices.shape[0], -1)[:, :: size + 1] += value
+
+
+def _finite_loss(objective: _StackedErm, theta: np.ndarray, step: int) -> np.ndarray:
+    loss = objective(theta)
+    if not np.all(np.isfinite(loss)):
+        raise TrainingDiverged(
+            f"non-finite training loss at step {step} "
+            f"(|theta|_max={np.max(np.abs(theta)):.3g})"
+        )
+    return loss
 
 
 def optimize_policy(
@@ -269,24 +326,25 @@ def optimize_policy(
     ladder: PriceLadder,
     kind: EstimatorKind,
     demand=None,
-    config: TrainConfig | None = None,
     switching_weight: float | None = None,
     coef: np.ndarray | None = None,
 ) -> TrainResult:
-    """Minimize the empirical corrupted loss over linear-softmax policies.
+    """Minimize the L2-penalized empirical corrupted loss over linear-softmax
+    policies.
 
     ``coef`` may be supplied to skip recomputing the loss coefficients (they
     do not depend on the policy being trained).
     """
     if coef is None:
         coef = loss_coefficients(dataset, ladder, kind, demand, switching_weight)
-    theta, history, anomalies = _adam_descent(
-        with_bias(dataset.features), coef.T[None], config or TrainConfig()
+    theta, history, steps, grad_max = _damped_newton_descent(
+        with_bias(dataset.features), coef.T[None]
     )
     return TrainResult(
         policy=LinearSoftmaxPolicy(theta=theta[0], ladder=ladder),
-        loss_history=history[0],
-        descent_anomalies=int(anomalies[0]),
+        loss_history=history[0, : steps[0] + 1],
+        steps=int(steps[0]),
+        grad_max=float(grad_max[0]),
     )
 
 
@@ -342,21 +400,20 @@ def select_switching_weight_for_training(
     demand,
     grid=DEFAULT_WEIGHT_GRID,
     folds: int = CV_FOLDS,
-    config: TrainConfig | None = None,
 ) -> float:
     """Optimization-mode choice: weight whose trained policy cross-validates best.
 
     For each candidate weight, train on the complement of each fold and score
-    the held-out estimated loss with the same switching estimator; pick the
-    weight with the lowest average held-out loss. The candidates' coefficients
-    are built once, and each fold trains all of them in one stacked descent.
+    the held-out estimated loss (without the training penalty) with the same
+    switching estimator; pick the weight with the lowest average held-out
+    loss. The candidates' coefficients are built once, and each fold trains
+    all of them in one stacked descent.
     """
     grid = [float(c) for c in grid]
     if not grid or any(not 0.0 <= c <= 1.0 for c in grid):
         raise ValueError("grid must be nonempty within [0, 1]")
     if len(grid) == 1:
         return grid[0]
-    cfg = config or TrainConfig()
     coef_mv = loss_coefficients(dataset, ladder, EstimatorKind.MIN_VARIANCE, demand)
     coef_rob = loss_coefficients(dataset, ladder, EstimatorKind.ROBUST)
     coef_t = np.stack([c * coef_mv.T + (1.0 - c) * coef_rob.T for c in grid])
@@ -367,7 +424,7 @@ def select_switching_weight_for_training(
             continue
         train = np.ones(dataset.n, dtype=bool)
         train[s] = False
-        theta, _, _ = _adam_descent(Xb[train], coef_t[:, :, train], cfg)
+        theta, _, _, _ = _damped_newton_descent(Xb[train], coef_t[:, :, train])
         probs = softmax_rows(theta @ Xb[s].T)
         held_out += np.sum(probs * coef_t[:, :, s], axis=(1, 2)) / s.size
     return grid[int(np.argmin(held_out))]

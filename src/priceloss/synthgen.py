@@ -184,7 +184,3 @@ def true_policy_value(
     per_record = -(pm * ladder.margins * accept).sum(axis=1)
     return float(per_record.mean())
 
-
-def replication_rng(seed: int, rep: int) -> np.random.Generator:
-    """Independent, reproducible stream for one replication."""
-    return np.random.default_rng(np.random.SeedSequence([seed, rep]))

@@ -184,7 +184,6 @@ def test_learn_sweep_trains_every_estimator_and_reruns_byte_identical(tmp_path):
                 "n_grid": [60],
                 "reps": 2,
                 "seed": 3,
-                "train": {"iters": 100},
             }
         )
     )
@@ -214,6 +213,13 @@ def test_bad_config_exits_two(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"not_a_key": 1}))
     assert main(["eval-sweep", "--config", str(config)]) == 2
+
+
+def test_removed_train_key_exits_two_and_is_named(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "learn-sweep", "train": {"iters": 100}}))
+    assert main(["learn-sweep", "--config", str(config)]) == 2
+    assert "'train'" in capsys.readouterr().err
 
 
 def test_unknown_estimator_exits_two(tmp_path):

@@ -2,7 +2,6 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from priceloss import ladder as lad
 
@@ -28,27 +27,6 @@ def test_distribution_constructors_reject_bad_vectors():
         lad.OutcomeDist(np.array([0.4, 0.2, 0.4]))  # odd length
     # within-tolerance wobble is accepted
     lad.PolicyDist(np.array([0.5, 0.5 + 5e-10]))
-
-
-@given(st.integers(min_value=1, max_value=20))
-def test_outcome_index_is_a_bijection(m):
-    seen = set()
-    for price_index in range(1, m + 1):
-        for sold in (True, False):
-            k = lad.outcome_index(price_index, sold, m)
-            assert 0 <= k < 2 * m
-            seen.add(k)
-    assert len(seen) == 2 * m
-
-
-def test_outcome_index_examples_and_range():
-    assert lad.outcome_index(1, True, 5) == 0
-    assert lad.outcome_index(5, False, 5) == 9
-    assert lad.outcome_index(2, True, 2) == 1
-    with pytest.raises(ValueError):
-        lad.outcome_index(0, True, 5)
-    with pytest.raises(ValueError):
-        lad.outcome_index(6, True, 5)
 
 
 def _toy_dataset(valuations=None, propensities=None):
@@ -81,14 +59,6 @@ def test_validate_flags_inconsistent_latents():
     report = lad.validate(_toy_dataset(valuations=np.array([0, 1, 1, 2])))
     assert 0 in report.consistency_violations
     assert not report.ok
-
-
-def test_observed_record_consistency_check():
-    with pytest.raises(ValueError, match="inconsistent"):
-        lad.ObservedRecord(
-            features=np.zeros(2), price_index=2, sold=True, latent_valuation=1
-        )
-    lad.ObservedRecord(features=np.zeros(2), price_index=1, sold=True, latent_valuation=1)
 
 
 def test_csv_round_trip_with_propensities_and_latents():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,16 +8,17 @@ from priceloss.estimators import EstimatorKind
 from priceloss.demand import DemandModel, fit_tlearner
 from priceloss.ladder import Dataset, PriceLadder
 from priceloss.losses import loss_coefficients, per_record_losses
+from priceloss import policy
 from priceloss.policy import (
+    GRAD_TOL,
     ConstantPolicy,
     GreedyDemandPolicy,
     LinearSoftmaxPolicy,
-    TrainConfig,
-    _adam_descent,
+    TrainingDiverged,
+    _StackedErm,
+    _damped_newton_descent,
     _fold_slices,
-    erm_loss_and_grad,
     optimize_policy,
-    policy_probs,
     select_switching_weight,
     select_switching_weight_for_training,
     softmax_rows,
@@ -35,15 +38,15 @@ def _dataset(n, seed=0, d=6):
 
 
 def test_zero_scores_give_uniform_policy():
-    theta = np.zeros((5, 4))
-    assert np.allclose(policy_probs(theta, np.ones(3)), 0.2)
+    pol = LinearSoftmaxPolicy(np.zeros((5, 4)), LADDER)
+    assert np.allclose(pol.probs_matrix(np.ones((1, 3))), 0.2)
 
 
 def test_saturated_score_concentrates():
     theta = np.zeros((3, 2))
     theta[1, -1] = 1000.0
-    p = policy_probs(theta, np.zeros(1))
-    assert p[1] > 1 - 1e-9
+    pol = LinearSoftmaxPolicy(theta, PriceLadder(np.array([1.0, 2.0, 3.0])))
+    assert pol.probs_matrix(np.zeros((1, 1)))[0, 1] > 1 - 1e-9
 
 
 def test_softmax_shift_invariance():
@@ -63,24 +66,49 @@ def test_policy_rows_sum_to_one(seed):
     assert np.max(np.abs(pm.sum(axis=1) - 1.0)) < 1e-12
 
 
+def _erm_problem(rng, k=1, n=12, d=3, m=4):
+    xb = with_bias(rng.standard_normal((n, d)))
+    coef_t = rng.standard_normal((k, m, n))
+    theta = rng.standard_normal((k, m, d + 1)) * 0.5
+    return _StackedErm(xb, coef_t), theta
+
+
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        n, d, m = 12, 3, 4
-        xb = with_bias(rng.standard_normal((n, d)))
-        coef = rng.standard_normal((n, m))
-        theta = rng.standard_normal((m, d + 1)) * 0.5
-        _, grad = erm_loss_and_grad(theta, xb, coef)
+        objective, theta = _erm_problem(rng)
+        objective(theta)
+        grad, _ = objective.derivatives(theta, np.arange(1))
         h = 1e-5
         for _ in range(5):
-            i, j = rng.integers(m), rng.integers(d + 1)
+            i, j = rng.integers(theta.shape[1]), rng.integers(theta.shape[2])
             bump = np.zeros_like(theta)
-            bump[i, j] = h
-            up, _ = erm_loss_and_grad(theta + bump, xb, coef)
-            down, _ = erm_loss_and_grad(theta - bump, xb, coef)
-            fd = (up - down) / (2 * h)
-            denom = max(abs(fd), abs(grad[i, j]), 1e-8)
-            assert abs(grad[i, j] - fd) / denom < 1e-4
+            bump[0, i, j] = h
+            fd = (objective(theta + bump)[0] - objective(theta - bump)[0]) / (2 * h)
+            denom = max(abs(fd), abs(grad[0, i, j]), 1e-8)
+            assert abs(grad[0, i, j] - fd) / denom < 1e-4
+
+
+def test_hessian_matches_finite_differences_of_the_gradient():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        objective, theta = _erm_problem(rng, k=3)
+        rows = np.arange(3)
+        objective(theta)
+        _, hess = objective.derivatives(theta, rows)
+        assert np.max(np.abs(hess - hess.transpose(0, 2, 1))) < 1e-15
+        h = 1e-6
+        fd = np.empty_like(hess)
+        for a in range(hess.shape[1]):
+            bump = np.zeros(theta.size // 3)
+            bump[a] = h
+            bump = np.broadcast_to(bump.reshape(theta.shape[1:]), theta.shape)
+            objective(theta + bump)
+            up, _ = objective.derivatives(theta + bump, rows)
+            objective(theta - bump)
+            down, _ = objective.derivatives(theta - bump, rows)
+            fd[:, :, a] = (up - down).reshape(3, -1) / (2 * h)
+        assert np.max(np.abs(hess - fd)) < 1e-8
 
 
 def test_dominant_arm_is_learned():
@@ -95,34 +123,33 @@ def test_dominant_arm_is_learned():
     valuation = np.full(n, 2)
     sold = price <= valuation
     ds = Dataset(features=x, price_index=price, sold=sold, propensities=pis, valuations=valuation)
-    result = optimize_policy(ds, ladder, EstimatorKind.IPS, config=TrainConfig(max_iters=1500))
+    result = optimize_policy(ds, ladder, EstimatorKind.IPS)
     probs = result.policy.probs_matrix(np.zeros((1, 1)))[0]
     assert probs[1] >= 0.95
 
 
 def test_training_loss_trajectory_descends():
     ds = _dataset(n=300, seed=3)
-    result = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, config=TrainConfig(max_iters=800))
+    result = optimize_policy(ds, LADDER, EstimatorKind.ROBUST)
     hist = result.loss_history
     assert hist[-1] < hist[0]
-    assert result.descent_anomalies == 0
-    assert len(hist) == 801
+    assert np.all(np.diff(hist) <= 0)
+    assert len(hist) == result.steps + 1
+    assert result.grad_max < GRAD_TOL
 
 
 def test_training_is_deterministic():
     ds = _dataset(n=100, seed=4)
-    cfg = TrainConfig(max_iters=200)
-    a = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, config=cfg)
-    b = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, config=cfg)
+    a = optimize_policy(ds, LADDER, EstimatorKind.ROBUST)
+    b = optimize_policy(ds, LADDER, EstimatorKind.ROBUST)
     assert np.array_equal(a.policy.theta, b.policy.theta)
 
 
 def test_precomputed_coefficients_match():
     ds = _dataset(n=80, seed=5)
     coef = loss_coefficients(ds, LADDER, EstimatorKind.ROBUST)
-    cfg = TrainConfig(max_iters=150)
-    a = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, config=cfg)
-    b = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, config=cfg, coef=coef)
+    a = optimize_policy(ds, LADDER, EstimatorKind.ROBUST)
+    b = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, coef=coef)
     assert np.array_equal(a.policy.theta, b.policy.theta)
 
 
@@ -226,10 +253,10 @@ def test_non_finite_loss_raises():
     ds = _dataset(n=20, seed=12)
     coef = np.full((20, 5), np.inf)
     with pytest.raises(ArithmeticError, match="non-finite"):
-        optimize_policy(ds, LADDER, EstimatorKind.ROBUST, coef=coef, config=TrainConfig(max_iters=5))
+        optimize_policy(ds, LADDER, EstimatorKind.ROBUST, coef=coef)
 
 
-def _cv_choice_one_fit_at_a_time(ds, demand, grid, folds, cfg):
+def _cv_choice_one_fit_at_a_time(ds, demand, grid, folds):
     coef_mv = loss_coefficients(ds, LADDER, EstimatorKind.MIN_VARIANCE, demand)
     coef_rob = loss_coefficients(ds, LADDER, EstimatorKind.ROBUST)
     held_out = []
@@ -239,7 +266,7 @@ def _cv_choice_one_fit_at_a_time(ds, demand, grid, folds, cfg):
         for s in _fold_slices(ds.n, folds):
             train = np.setdiff1d(np.arange(ds.n), s)
             result = optimize_policy(
-                ds.subset(train), LADDER, EstimatorKind.SWITCHING, config=cfg, coef=coef[train]
+                ds.subset(train), LADDER, EstimatorKind.SWITCHING, coef=coef[train]
             )
             total += float(np.sum(result.policy.probs_matrix(ds.features[s]) * coef[s]) / s.size)
         held_out.append(total)
@@ -251,11 +278,8 @@ def test_stacked_cross_validation_matches_one_fit_at_a_time(seed):
     ds = _dataset(n=120, seed=seed)
     demand = fit_tlearner(_dataset(n=100, seed=seed + 100), LADDER)
     grid = tuple(np.linspace(0.0, 1.0, 5))
-    cfg = TrainConfig(max_iters=300)
-    expected = _cv_choice_one_fit_at_a_time(ds, demand, grid, 4, cfg)
-    chosen = select_switching_weight_for_training(
-        ds, LADDER, demand, grid=grid, folds=4, config=cfg
-    )
+    expected = _cv_choice_one_fit_at_a_time(ds, demand, grid, 4)
+    chosen = select_switching_weight_for_training(ds, LADDER, demand, grid=grid, folds=4)
     assert chosen == expected
 
 
@@ -266,13 +290,41 @@ def test_stacked_descent_matches_each_problem_alone():
         loss_coefficients(ds, LADDER, EstimatorKind.CIPS),
         loss_coefficients(ds, LADDER, EstimatorKind.IPS),
     ]
-    cfg = TrainConfig(max_iters=250)
-    theta, history, anomalies = _adam_descent(
-        with_bias(ds.features), np.stack([c.T for c in coefs]), cfg
+    theta, history, steps, grad_max = _damped_newton_descent(
+        with_bias(ds.features), np.stack([c.T for c in coefs])
     )
     assert theta.shape == (3, 5, ds.features.shape[1] + 1)
+    assert history.shape == (3, steps.max() + 1)
     for k, coef in enumerate(coefs):
-        alone = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, config=cfg, coef=coef)
+        alone = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, coef=coef)
+        assert steps[k] == alone.steps
         assert np.max(np.abs(theta[k] - alone.policy.theta)) < 1e-12
-        assert np.max(np.abs(history[k] - alone.loss_history)) < 1e-12
-        assert anomalies[k] == alone.descent_anomalies
+        assert np.max(np.abs(history[k, : steps[k] + 1] - alone.loss_history)) < 1e-12
+        assert grad_max[k] < GRAD_TOL and alone.grad_max < GRAD_TOL
+
+
+def test_descent_raises_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(policy, "MAX_DESCENT_STEPS", 1)
+    with pytest.raises(TrainingDiverged, match="did not converge in 1 steps"):
+        optimize_policy(_dataset(n=60, seed=24), LADDER, EstimatorKind.ROBUST)
+
+
+def test_descent_converges_across_surfaces_shifts_and_sizes():
+    # Every problem must stop on the gradient tolerance, far below the cap.
+    steps = []
+    for kind, shift, n in itertools.product(SurfaceKind, (-10.0, 0.0, 10.0), (50, 500)):
+        rng = np.random.default_rng([int(shift) + 20, n])
+        gen = GenConfig(n=n, d=10, surface_kind=kind, logit_shift=shift)
+        surface = sample_surface(rng, kind, 10, shift)
+        ds = generate_dataset(surface, gen, rng)
+        truth = surface.as_model(LADDER)
+        coef_t = np.stack(
+            [
+                loss_coefficients(ds, LADDER, EstimatorKind(e), truth).T
+                for e in ("ips", "cips", "robust", "mv")
+            ]
+        )
+        _, _, k_steps, grad_max = _damped_newton_descent(with_bias(ds.features), coef_t)
+        assert np.all(grad_max < GRAD_TOL)
+        steps += k_steps.tolist()
+    assert max(steps) <= policy.MAX_DESCENT_STEPS // 3
