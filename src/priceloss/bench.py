@@ -57,7 +57,6 @@ DEFAULT_ESTIMATORS = ("ips", "mv", "robust", "cmix")
 
 @dataclass(frozen=True)
 class BenchConfig:
-    experiment: str = "eval-sweep"
     n_grid: tuple[int, ...] = (50, 100, 500, 2000)
     alpha_grid: tuple[float, ...] | None = None  # None: fit demand from the data
     d: int = 10
@@ -80,7 +79,9 @@ class BenchConfig:
         return PriceLadder(np.asarray(self.ladder, dtype=np.float64), self.unit_cost)
 
     def config_hash(self) -> str:
-        doc = json.dumps(asdict(self), sort_keys=True, default=str)
+        """Hash of the experiment parameters; ``workers`` only sets how reps run."""
+        params = {k: v for k, v in asdict(self).items() if k != "workers"}
+        doc = json.dumps(params, sort_keys=True, default=str)
         return hashlib.sha256(doc.encode()).hexdigest()[:12]
 
 

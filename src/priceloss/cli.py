@@ -16,10 +16,17 @@ import numpy as np
 from . import bench, oracle
 from .demand import fit_tlearner
 from .estimators import EstimatorKind
-from .ladder import PriceLadder, SchemaError, read_csv, validate, write_csv
+from .ladder import (
+    PolicyDist,
+    PriceLadder,
+    Propensities,
+    SchemaError,
+    read_csv,
+    validate,
+    write_csv,
+)
 from .losses import per_record_losses
 from .policy import ConstantPolicy, LinearSoftmaxPolicy, select_switching_weight
-from .ladder import PolicyDist
 from .synthgen import GenConfig, SurfaceKind, sample_surface, generate_dataset
 
 
@@ -27,30 +34,37 @@ class InputError(ValueError):
     pass
 
 
+def _parse_ladder(text: str, unit_cost: float) -> PriceLadder:
+    try:
+        return PriceLadder(np.asarray([float(p) for p in text.split(",")]), unit_cost)
+    except ValueError as exc:
+        raise InputError(f"bad --ladder {text!r}: {exc}") from exc
+
+
 def _load_policy(path: str):
+    """The policy in a JSON file and the ladder it carries (``None`` if none)."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read policy file {path}: {exc}") from exc
     kind = doc.get("type")
-    if kind == "linear_softmax":
-        return LinearSoftmaxPolicy.from_json(json.dumps(doc)), doc
-    if kind == "constant":
-        return ConstantPolicy(PolicyDist(np.asarray(doc["probs"], dtype=np.float64))), doc
-    raise InputError(f"unsupported policy type {kind!r} in {path}")
-
-
-def _ladder_from(args, policy_doc) -> PriceLadder:
-    if args.ladder:
-        prices = np.asarray([float(p) for p in args.ladder.split(",")])
-        return PriceLadder(prices, args.unit_cost)
-    if policy_doc and "ladder" in policy_doc:
-        lad = policy_doc["ladder"]
-        return PriceLadder(
-            np.asarray(lad["prices"], dtype=np.float64), float(lad.get("unit_cost", 0.0))
-        )
-    raise InputError("no ladder given: pass --ladder or use a policy file that carries one")
+    if kind not in ("linear_softmax", "constant"):
+        raise InputError(f"unsupported policy type {kind!r} in {path}")
+    try:
+        if kind == "linear_softmax":
+            policy = LinearSoftmaxPolicy.from_json(json.dumps(doc))
+            return policy, policy.ladder
+        policy = ConstantPolicy(PolicyDist(np.asarray(doc["probs"], dtype=np.float64)))
+        if "ladder" not in doc:
+            return policy, None
+        lad = doc["ladder"]
+        prices = np.asarray(lad["prices"], dtype=np.float64)
+        return policy, PriceLadder(prices, float(lad.get("unit_cost", 0.0)))
+    except KeyError as exc:
+        raise InputError(f"policy file {path} has no {exc} entry") from exc
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"bad policy file {path}: {exc}") from exc
 
 
 def cmd_oracle_check(args) -> int:
@@ -93,29 +107,33 @@ def cmd_sweep(args, runner) -> int:
 
 def cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
+    ladder = _parse_ladder(args.ladder, args.unit_cost)
+    kind = SurfaceKind(args.surface)
     try:
-        ladder = PriceLadder(
-            np.asarray([float(p) for p in args.ladder.split(",")]), args.unit_cost
+        surface = sample_surface(rng, kind, args.d, args.shift)
+        cfg = GenConfig(
+            n=args.n, d=args.d, ladder=ladder, softmax_scale=args.lam,
+            surface_kind=kind, logit_shift=args.shift,
         )
-        kind = SurfaceKind(args.surface)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    surface = sample_surface(rng, kind, args.d, args.shift)
-    cfg = GenConfig(
-        n=args.n, d=args.d, ladder=ladder, softmax_scale=args.lam,
-        surface_kind=kind, logit_shift=args.shift,
-    )
     dataset = generate_dataset(surface, cfg, rng)
     write_csv(dataset, args.out or sys.stdout)
     return 0
 
 
 def cmd_eval_csv(args) -> int:
-    policy, policy_doc = _load_policy(args.policy)
-    ladder = _ladder_from(args, policy_doc)
+    policy, ladder = _load_policy(args.policy)
+    if args.ladder:
+        ladder = _parse_ladder(args.ladder, args.unit_cost)
+    if ladder is None:
+        raise InputError("no ladder given: pass --ladder or use a policy file that carries one")
     const = None
     if args.propensities:
-        const = np.asarray([float(p) for p in args.propensities.split(",")])
+        try:
+            const = Propensities(np.asarray([float(p) for p in args.propensities.split(",")])).probs
+        except ValueError as exc:
+            raise InputError(f"bad --propensities {args.propensities!r}: {exc}") from exc
     try:
         dataset = read_csv(args.dataset, constant_propensities=const)
     except SchemaError as exc:

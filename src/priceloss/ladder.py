@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -234,36 +236,54 @@ def validate(dataset: Dataset, floor: float = PROPENSITY_FLOOR) -> ValidationRep
 
 # ---------------------------------------------------------------------------
 # CSV schema: x_0,...,x_{d-1},price_index,sold[,valuation_index][,pi_1..pi_m]
+# The codec works one column at a time. The reader parses each column in one
+# pass into a typed array and checks ranges and propensity rows as whole-column
+# comparisons; only a column that fails to parse is walked again, to name its
+# first bad cell. Checks run in schema order, each naming its first bad row.
 # ---------------------------------------------------------------------------
+
+_SOLD = {"0": False, "false": False, "1": True, "true": True}
 
 
 class SchemaError(ValueError):
     """A dataset file does not conform to the CSV schema."""
 
 
+def _opened(path_or_buf, mode):
+    if isinstance(path_or_buf, (str, bytes)):
+        return open(path_or_buf, mode, newline="")
+    return nullcontext(path_or_buf)
+
+
 def write_csv(dataset: Dataset, path_or_buf) -> None:
     """Emit a dataset in the canonical CSV schema, including propensities."""
+    vals = [] if dataset.valuations is None else [dataset.valuations]
     header = (
         [f"x_{j}" for j in range(dataset.d)]
         + ["price_index", "sold"]
-        + (["valuation_index"] if dataset.valuations is not None else [])
+        + (["valuation_index"] if vals else [])
         + [f"pi_{j + 1}" for j in range(dataset.m)]
     )
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    ints = [dataset.price_index, dataset.sold.astype(np.int64)] + vals
+    columns = (
+        [map(repr, col) for col in dataset.features.T.tolist()]
+        + [map(str, col.tolist()) for col in ints]
+        + [map(repr, col) for col in dataset.propensities.T.tolist()]
+    )
+    with _opened(path_or_buf, "w") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        for i in range(dataset.n):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row += [str(int(dataset.price_index[i])), str(int(dataset.sold[i]))]
-            if dataset.valuations is not None:
-                row.append(str(int(dataset.valuations[i])))
-            row += [repr(float(v)) for v in dataset.propensities[i]]
-            writer.writerow(row)
-    finally:
-        if own:
-            f.close()
+        writer.writerows(zip(*columns))
+
+
+def _fail(i, name, msg):
+    raise SchemaError(f"row {i + 2}, column '{name}': {msg}")
+
+
+def _check_range(values, name, lo, hi):
+    bad = np.flatnonzero((values < lo) | (values > hi))
+    if bad.size:
+        _fail(bad[0], name, f"value {values[bad[0]]} outside {lo}..{hi}")
 
 
 def read_csv(path_or_buf, constant_propensities=None) -> Dataset:
@@ -273,18 +293,13 @@ def read_csv(path_or_buf, constant_propensities=None) -> Dataset:
     ``constant_propensities`` (one vector applied to every row). Raises
     :class:`SchemaError` naming the offending row/column on any violation.
     """
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "r", newline="") if own else path_or_buf
-    try:
+    with _opened(path_or_buf, "r") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError("empty file") from None
         rows = list(reader)
-    finally:
-        if own:
-            f.close()
 
     cols = {name: k for k, name in enumerate(header)}
     d = 0
@@ -304,68 +319,54 @@ def read_csv(path_or_buf, constant_propensities=None) -> Dataset:
         raise SchemaError(
             "no pi_1..pi_m columns and no constant propensities supplied"
         )
+    const = None
     if constant_propensities is not None:
         const = Propensities(np.asarray(constant_propensities, dtype=np.float64))
-        m = const.m
-    else:
-        const = None
-        m = m_cols
+    m = m_cols if const is None else const.m
 
     n = len(rows)
     if n == 0:
         raise SchemaError("dataset has a header but no rows")
-    X = np.empty((n, d))
-    price = np.empty(n, dtype=np.int64)
-    sold = np.empty(n, dtype=bool)
-    vals = np.empty(n, dtype=np.int64) if has_val else None
-    pis = np.empty((n, m))
-
-    def fail(i, name, msg):
-        raise SchemaError(f"row {i + 2}, column '{name}': {msg}")
-
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise SchemaError(
                 f"row {i + 2}: expected {len(header)} fields, got {len(row)}"
             )
-        for j in range(d):
-            try:
-                X[i, j] = float(row[cols[f"x_{j}"]])
-            except ValueError:
-                fail(i, f"x_{j}", f"not a number: {row[cols[f'x_{j}']]!r}")
+
+    def parse(name, msg, convert=float, dtype=np.float64):
+        """Column ``name`` as a typed array; ``msg.format(cell)`` describes a bad cell."""
+        k = cols[name]
         try:
-            price[i] = int(row[cols["price_index"]])
-        except ValueError:
-            fail(i, "price_index", f"not an integer: {row[cols['price_index']]!r}")
-        if not 1 <= price[i] <= m:
-            fail(i, "price_index", f"value {price[i]} outside 1..{m}")
-        raw_sold = row[cols["sold"]].strip().lower()
-        if raw_sold in ("0", "false"):
-            sold[i] = False
-        elif raw_sold in ("1", "true"):
-            sold[i] = True
-        else:
-            fail(i, "sold", f"expected 0/1, got {row[cols['sold']]!r}")
-        if has_val:
-            try:
-                vals[i] = int(row[cols["valuation_index"]])
-            except ValueError:
-                fail(i, "valuation_index", "not an integer")
-            if not 0 <= vals[i] <= m:
-                fail(i, "valuation_index", f"value {vals[i]} outside 0..{m}")
-        if const is not None:
-            pis[i] = const.probs
-        else:
-            for j in range(m):
+            return np.fromiter(map(convert, map(itemgetter(k), rows)), dtype, n)
+        except (ValueError, KeyError):
+            for i, row in enumerate(rows):
                 try:
-                    pis[i, j] = float(row[cols[f"pi_{j + 1}"]])
-                except ValueError:
-                    fail(i, f"pi_{j + 1}", "not a number")
+                    convert(row[k])
+                except (ValueError, KeyError):
+                    _fail(i, name, msg.format(row[k]))
+            raise
+
+    X = np.empty((n, d))
+    for j in range(d):
+        X[:, j] = parse(f"x_{j}", "not a number: {!r}")
+    price = parse("price_index", "not an integer: {!r}", int, np.int64)
+    _check_range(price, "price_index", 1, m)
+    sold = parse("sold", "expected 0/1, got {!r}", lambda c: _SOLD[c.strip().lower()], bool)
+    vals = None
+    if has_val:
+        vals = parse("valuation_index", "not an integer", int, np.int64)
+        _check_range(vals, "valuation_index", 0, m)
+    if const is not None:
+        pis = np.tile(const.probs, (n, 1))
+    else:
+        pis = np.empty((n, m))
+        for j in range(m):
+            pis[:, j] = parse(f"pi_{j + 1}", "not a number")
+        ok = (pis > 0.0).all(axis=1) & (np.abs(pis.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+        for i in np.flatnonzero(~ok):
             try:
                 _check_simplex(pis[i], f"row {i + 2} propensities", strict_positive=True)
             except SimplexError as exc:
                 raise SchemaError(str(exc)) from None
 
-    return Dataset(
-        features=X, price_index=price, sold=sold, propensities=pis, valuations=vals
-    )
+    return Dataset(features=X, price_index=price, sold=sold, propensities=pis, valuations=vals)

@@ -60,15 +60,13 @@ def left_null_basis(transfer: TransferMatrix) -> np.ndarray:
     return basis
 
 
-def qp_min_variance(
-    transfer: TransferMatrix, outcome_dist: OutcomeDist, loss_vec: np.ndarray
-) -> np.ndarray:
+def qp_min_variance(transfer: TransferMatrix, outcome_dist: OutcomeDist) -> np.ndarray:
     """Numerical minimum-variance left inverse via null-space coordinates.
 
     Each row r of a feasible R is r0 + N z; minimizing r' D r row by row is
     an unconstrained convex quadratic solved directly. The row-wise optimum
-    also minimizes the loss variance for every loss vector at once, which is
-    verified against ``loss_vec`` by the callers.
+    also minimizes the loss variance for every loss vector at once, so it
+    needs none; callers check the variance for theirs.
     """
     f = np.asarray(outcome_dist.probs, dtype=np.float64)
     if np.any(f <= 0.0):
@@ -82,7 +80,6 @@ def qp_min_variance(
     rhs = nbasis.T @ (f[:, None] * r0.T)  # N' D r0' for all rows at once
     z = np.linalg.solve(gram, -rhs)  # (m-1, m+1)
     r = r0 + (nbasis @ z).T
-    _ = np.asarray(loss_vec)  # variance checks against loss_vec live in callers
     return r
 
 
@@ -360,7 +357,7 @@ def qp_match_sweep(n_instances: int, seed: int, n_perturbations: int = 10_000) -
         lv = valuation_loss_vector(policy, ladder)
         fy = OutcomeDist(transfer.mat @ fv.probs)
         closed = min_variance_reweight(transfer, fy)
-        numerical = qp_min_variance(transfer, fy, lv)
+        numerical = qp_min_variance(transfer, fy)
         worst_match = max(worst_match, float(np.max(np.abs(closed.mat - numerical))))
         # The closed form must not lose to any feasible perturbation.
         nbasis = left_null_basis(transfer)

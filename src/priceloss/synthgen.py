@@ -116,7 +116,7 @@ class GenConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("need n >= 1")
+            raise ValueError(f"need n >= 1, got {self.n}")
 
 
 def logging_policy_matrix(

@@ -159,7 +159,6 @@ def test_sweep_with_config_and_byte_identical_reruns(tmp_path):
     config.write_text(
         json.dumps(
             {
-                "experiment": "eval-sweep",
                 "n_grid": [40],
                 "reps": 3,
                 "seed": 2,
@@ -180,7 +179,6 @@ def test_learn_sweep_trains_every_estimator_and_reruns_byte_identical(tmp_path):
     config.write_text(
         json.dumps(
             {
-                "experiment": "learn-sweep",
                 "n_grid": [60],
                 "reps": 2,
                 "seed": 3,
@@ -217,9 +215,28 @@ def test_bad_config_exits_two(tmp_path):
 
 def test_removed_train_key_exits_two_and_is_named(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"experiment": "learn-sweep", "train": {"iters": 100}}))
+    config.write_text(json.dumps({"train": {"iters": 100}}))
     assert main(["learn-sweep", "--config", str(config)]) == 2
     assert "'train'" in capsys.readouterr().err
+
+
+def test_removed_experiment_key_exits_two_and_is_named(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "learn-sweep", "n_grid": [40], "reps": 2}))
+    assert main(["eval-sweep", "--config", str(config)]) == 2
+    assert "'experiment'" in capsys.readouterr().err
+
+
+def test_parallel_sweep_reproduces_the_serial_one(tmp_path):
+    outs = []
+    for workers in (1, 2):
+        config = tmp_path / f"config_{workers}.json"
+        config.write_text(
+            json.dumps({"n_grid": [40], "reps": 3, "seed": 5, "workers": workers})
+        )
+        outs.append(tmp_path / f"out_{workers}.csv")
+        assert main(["eval-sweep", "--config", str(config), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_unknown_estimator_exits_two(tmp_path):
@@ -231,3 +248,54 @@ def test_unknown_estimator_exits_two(tmp_path):
             main(["eval-csv", str(data), "--policy", str(policy), "--estimators", name])
             == 2
         )
+
+
+def _policy_file(tmp_path, doc):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+_LADDER = {"prices": [1, 2, 3, 4, 5], "unit_cost": 0.0}
+
+
+@pytest.mark.parametrize(
+    "extra, policy_doc, named",
+    [
+        (["--propensities", "0.2,x,0.2,0.2,0.2"], None, "'x'"),
+        (["--propensities", "0.5,0.5,0.5,0.5,0.5"], None, "sum to 2.5"),
+        (["--ladder", "1,2,zz"], None, "'zz'"),
+        (["--ladder", "5,4,3,2,1"], None, "'5,4,3,2,1'"),
+        ([], {"type": "constant", "ladder": _LADDER}, "'probs'"),
+        ([], {"type": "linear_softmax", "theta": [[0.0] * 11] * 4, "ladder": _LADDER}, "theta"),
+    ],
+    ids=[
+        "propensity-not-a-number",
+        "propensities-off-simplex",
+        "ladder-not-a-number",
+        "ladder-decreasing",
+        "constant-policy-without-probs",
+        "theta-row-count",
+    ],
+)
+def test_eval_csv_input_errors_exit_two_and_name_the_value(
+    tmp_path, capsys, extra, policy_doc, named
+):
+    data = tmp_path / "d.csv"
+    assert main(["gen", "--n", "20", "--seed", "1", "--out", str(data)]) == 0
+    if policy_doc is None:
+        policy = str(_write_policy(tmp_path, "constant"))
+    else:
+        policy = _policy_file(tmp_path, policy_doc)
+    capsys.readouterr()
+    assert main(["eval-csv", str(data), "--policy", policy] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv, named", [(["--n", "0"], "got 0"), (["--d", "2"], "got 2")], ids=["n-zero", "d-two"]
+)
+def test_gen_input_errors_exit_two_and_name_the_value(tmp_path, capsys, argv, named):
+    assert main(["gen", "--out", str(tmp_path / "g.csv")] + argv) == 2
+    assert named in capsys.readouterr().err

@@ -52,11 +52,8 @@ def test_min_variance_matches_qp_oracle_worked_case():
     pi0 = Propensities(np.array([0.5, 0.5]))
     transfer = build_transfer(pi0)
     fy = OutcomeDist(np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3]))
-    lv = valuation_loss_vector(
-        PolicyDist(np.array([0.4, 0.6])), PriceLadder(np.array([1.0, 2.0]))
-    )
     closed = min_variance_reweight(transfer, fy)
-    numerical = qp_min_variance(transfer, fy, lv)
+    numerical = qp_min_variance(transfer, fy)
     assert np.max(np.abs(closed.mat - numerical)) < 1e-6
 
 

@@ -101,3 +101,91 @@ def test_dataset_outcome_indices_and_subset():
     sub = ds.subset(np.array([0, 2]))
     assert sub.n == 2
     assert np.array_equal(sub.price_index, np.array([1, 3]))
+
+
+_HEADER = "x_0,x_1,price_index,sold,valuation_index,pi_1,pi_2"
+_GOOD = "0.1,0.2,1,1,2,0.5,0.5"
+
+
+def _csv(*rows):
+    return "\n".join((_HEADER,) + rows) + "\n"
+
+
+_BAD_CELLS = {
+    "x-not-a-number": (_csv("0.1,abc,1,1,2,0.5,0.5"), "row 2, column 'x_1': not a number: 'abc'"),
+    "price-not-an-integer": (
+        _csv("0.1,0.2,3.0,1,2,0.5,0.5"),
+        "row 2, column 'price_index': not an integer: '3.0'",
+    ),
+    "price-above-m": (
+        _csv(_GOOD, "0.1,0.2,3,1,2,0.5,0.5"),
+        "row 3, column 'price_index': value 3 outside 1..2",
+    ),
+    "price-zero": (
+        _csv("0.1,0.2,0,1,2,0.5,0.5"),
+        "row 2, column 'price_index': value 0 outside 1..2",
+    ),
+    "sold-maybe": (
+        _csv("0.1,0.2,1, TRUE ,2,0.5,0.5", "0.1,0.2,1,maybe,2,0.5,0.5"),
+        "row 3, column 'sold': expected 0/1, got 'maybe'",
+    ),
+    "valuation-not-an-integer": (
+        _csv("0.1,0.2,1,1,1.5,0.5,0.5"),
+        "row 2, column 'valuation_index': not an integer",
+    ),
+    "valuation-above-m": (
+        _csv("0.1,0.2,1,1,3,0.5,0.5"),
+        "row 2, column 'valuation_index': value 3 outside 0..2",
+    ),
+    "valuation-negative": (
+        _csv("0.1,0.2,1,1,-1,0.5,0.5"),
+        "row 2, column 'valuation_index': value -1 outside 0..2",
+    ),
+    "pi-not-a-number": (_csv("0.1,0.2,1,1,2,0.5,half"), "row 2, column 'pi_2': not a number"),
+    "pi-zero": (
+        _csv(_GOOD, "0.1,0.2,1,1,2,0,1"),
+        "row 3 propensities: entries must be strictly positive",
+    ),
+    "pi-negative": (
+        _csv("0.1,0.2,1,1,2,-0.5,1.5"),
+        "row 2 propensities: entries must be strictly positive",
+    ),
+    "pi-nan": (_csv("0.1,0.2,1,1,2,nan,0.5"), "row 2 propensities: non-finite entries"),
+    "pi-inf": (_csv("0.1,0.2,1,1,2,inf,0.5"), "row 2 propensities: non-finite entries"),
+    "pi-sum": (
+        _csv("0.1,0.2,1,1,2,0.5,0.6"),
+        "row 2 propensities: entries sum to 1.1, expected 1",
+    ),
+    "field-count": (_csv(_GOOD, "0.1,0.2,1,1,2,0.5"), "row 3: expected 7 fields, got 6"),
+    "header-only": (_csv(), "dataset has a header but no rows"),
+    "empty-file": ("", "empty file"),
+    "pi-sum-in-row-20002": (
+        _csv(*[_GOOD] * 20_000, "0.1,0.2,1,1,2,0.5,0.4"),
+        "row 20002 propensities: entries sum to 0.9, expected 1",
+    ),
+    "x-in-row-20001": (
+        _csv(*[_GOOD] * 19_999, "oops,0.2,1,1,2,0.5,0.5"),
+        "row 20001, column 'x_0': not a number: 'oops'",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, message", list(_BAD_CELLS.values()), ids=list(_BAD_CELLS))
+def test_read_csv_names_the_bad_cell(text, message):
+    with pytest.raises(lad.SchemaError) as exc:
+        lad.read_csv(io.StringIO(text))
+    assert str(exc.value) == message
+
+
+def test_read_csv_accepts_spaced_and_worded_sold_values():
+    ds = lad.read_csv(io.StringIO(_csv("0.1,0.2,1, TRUE ,2,0.5,0.5", "0.1,0.2,2,false,0,0.5,0.5")))
+    assert ds.sold.tolist() == [True, False]
+
+
+def test_read_csv_checks_columns_in_schema_order():
+    # Row 2's propensities and row 3's feature are both bad; columns are
+    # checked in schema order, so the feature is reported.
+    text = _csv("0.1,0.2,1,1,2,0.5,0.6", "bad,0.2,1,1,2,0.5,0.5")
+    with pytest.raises(lad.SchemaError) as exc:
+        lad.read_csv(io.StringIO(text))
+    assert str(exc.value) == "row 3, column 'x_0': not a number: 'bad'"

@@ -63,12 +63,11 @@ def test_left_null_basis_annihilates_transfer():
 def test_qp_matches_closed_form_on_random_instances():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        ladder, pi0, policy, fv = oracle.random_instance(rng)
+        _, pi0, _, fv = oracle.random_instance(rng)
         transfer = build_transfer(pi0)
-        lv = valuation_loss_vector(policy, ladder)
         fy = OutcomeDist(transfer.mat @ fv.probs)
         closed = min_variance_reweight(transfer, fy)
-        numerical = oracle.qp_min_variance(transfer, fy, lv)
+        numerical = oracle.qp_min_variance(transfer, fy)
         assert np.max(np.abs(closed.mat - numerical)) < 1e-6
 
 
@@ -78,7 +77,7 @@ def test_qp_result_beats_random_feasible_matrices():
     transfer = build_transfer(pi0)
     lv = valuation_loss_vector(policy, ladder)
     fy = OutcomeDist(transfer.mat @ fv.probs)
-    solution = oracle.qp_min_variance(transfer, fy, lv)
+    solution = oracle.qp_min_variance(transfer, fy)
     c0 = solution.T @ lv
     base = oracle.loss_variance(c0, fv.probs, transfer)
     nbasis = oracle.left_null_basis(transfer)
@@ -99,7 +98,7 @@ def test_qp_near_ips_at_nobody_buys_plugin():
     nobody = np.zeros(3)
     nobody[0] = 1.0
     softened = transfer.mat @ (0.999 * nobody + 0.001 * np.full(3, 1 / 3))
-    r = oracle.qp_min_variance(transfer, OutcomeDist(softened / softened.sum()), lv)
+    r = oracle.qp_min_variance(transfer, OutcomeDist(softened / softened.sum()))
     ips = ips_reweight(pi0)
     c_r = transfer.mat.T @ (r.T @ lv)
     c_ips = transfer.mat.T @ (ips.mat.T @ lv)
