@@ -34,7 +34,6 @@ from .losses import (
     valuation_loss_vector,
 )
 from .demand import (
-    DemandModel,
     FittedDemandModel,
     blend_alpha,
     fit_tlearner,

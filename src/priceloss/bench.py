@@ -21,7 +21,7 @@ import numpy as np
 
 from .demand import blend_alpha, fit_tlearner
 from .estimators import EstimatorKind
-from .ladder import Dataset, PriceLadder
+from .ladder import PriceLadder, _opened
 from .losses import estimate_policy_value, loss_coefficients
 from .policy import (
     optimize_policy,
@@ -30,7 +30,6 @@ from .policy import (
     target_policy_for_evaluation,
 )
 from .synthgen import (
-    DemandSurface,
     GenConfig,
     SurfaceKind,
     generate_dataset,
@@ -269,34 +268,35 @@ def _aggregate(
     return rows
 
 
-def run_eval_sweep(cfg: BenchConfig) -> list[ResultRow]:
+def _run_sweep(
+    cfg: BenchConfig, experiment: str, replication, metric: str, agg_metric: str
+) -> list[ResultRow]:
+    """Every (n, alpha) cell of the config: one row per rep and metric, then
+    each method's mean with its standard error."""
     rows: list[ResultRow] = []
     alphas: tuple[float | None, ...] = (
         (None,) if cfg.alpha_grid is None else cfg.alpha_grid
     )
     for n in cfg.n_grid:
         for alpha in alphas:
-            per_rep = _run_reps(eval_replication, cfg, n, alpha, cfg.reps)
-            rows += _aggregate(cfg, "eval-sweep", per_rep, n, alpha, "sq_error", "mse")
+            per_rep = _run_reps(replication, cfg, n, alpha, cfg.reps)
+            rows += _aggregate(cfg, experiment, per_rep, n, alpha, metric, agg_metric)
     return rows
+
+
+def run_eval_sweep(cfg: BenchConfig) -> list[ResultRow]:
+    return _run_sweep(cfg, "eval-sweep", eval_replication, "sq_error", "mse")
 
 
 def run_learn_sweep(cfg: BenchConfig) -> list[ResultRow]:
-    rows: list[ResultRow] = []
-    alphas: tuple[float | None, ...] = (
-        (None,) if cfg.alpha_grid is None else cfg.alpha_grid
-    )
-    for n in cfg.n_grid:
-        for alpha in alphas:
-            per_rep = _run_reps(learn_replication, cfg, n, alpha, cfg.reps)
-            rows += _aggregate(
-                cfg, "learn-sweep", per_rep, n, alpha, "reward", "reward_mean"
-            )
-    return rows
+    return _run_sweep(cfg, "learn-sweep", learn_replication, "reward", "reward_mean")
 
 
-def run_sales_regime(cfg: BenchConfig, learn_reps: int | None = None) -> list[ResultRow]:
-    """Evaluation and optimization at logit shifts -10 / 0 / +10, n = 500."""
+def run_sales_regime(cfg: BenchConfig) -> list[ResultRow]:
+    """Evaluation and optimization at logit shifts -10 / 0 / +10, n = 500.
+
+    Optimization runs ``max(1, reps // 25)`` reps per shift.
+    """
     rows: list[ResultRow] = []
     shifts = (-10.0, 0.0, 10.0)
     estimators = tuple(e for e in cfg.estimators if e in ("ips", "robust")) or (
@@ -304,7 +304,7 @@ def run_sales_regime(cfg: BenchConfig, learn_reps: int | None = None) -> list[Re
         "robust",
     )
     n = cfg.n_grid[0] if len(cfg.n_grid) == 1 else 500
-    lreps = learn_reps if learn_reps is not None else max(1, cfg.reps // 25)
+    lreps = max(1, cfg.reps // 25)
     for shift in shifts:
         shifted = replace(cfg, shift=shift, estimators=estimators)
         per_rep = _run_reps(eval_replication, shifted, n, None, cfg.reps)
@@ -317,14 +317,7 @@ def run_sales_regime(cfg: BenchConfig, learn_reps: int | None = None) -> list[Re
 
 
 def write_rows(rows: list[ResultRow], path_or_buf) -> None:
-    own = isinstance(path_or_buf, (str, bytes))
-    f = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
+    with _opened(path_or_buf, "w") as f:
         writer = csv.writer(f)
         writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            writer.writerow(row.as_csv())
-    finally:
-        if own:
-            f.close()
-
+        writer.writerows(row.as_csv() for row in rows)

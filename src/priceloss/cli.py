@@ -21,6 +21,7 @@ from .ladder import (
     PriceLadder,
     Propensities,
     SchemaError,
+    _opened,
     read_csv,
     validate,
     write_csv,
@@ -41,26 +42,35 @@ def _parse_ladder(text: str, unit_cost: float) -> PriceLadder:
         raise InputError(f"bad --ladder {text!r}: {exc}") from exc
 
 
+def _policy_ladder(doc: dict) -> PriceLadder:
+    lad = doc["ladder"]
+    prices = np.asarray(lad["prices"], dtype=np.float64)
+    return PriceLadder(prices, float(lad.get("unit_cost", 0.0)))
+
+
 def _load_policy(path: str):
-    """The policy in a JSON file and the ladder it carries (``None`` if none)."""
+    """The policy in a JSON file and the ladder it carries (``None`` if none).
+
+    A ``linear_softmax`` document holds ``theta`` and ``ladder``; a
+    ``constant`` one holds ``probs`` and optionally ``ladder``.
+    """
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read policy file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"policy file {path} holds a JSON {type(doc).__name__}, not an object")
     kind = doc.get("type")
     if kind not in ("linear_softmax", "constant"):
         raise InputError(f"unsupported policy type {kind!r} in {path}")
     try:
         if kind == "linear_softmax":
-            policy = LinearSoftmaxPolicy.from_json(json.dumps(doc))
-            return policy, policy.ladder
+            ladder = _policy_ladder(doc)
+            theta = np.asarray(doc["theta"], dtype=np.float64)
+            return LinearSoftmaxPolicy(theta=theta, ladder=ladder), ladder
         policy = ConstantPolicy(PolicyDist(np.asarray(doc["probs"], dtype=np.float64)))
-        if "ladder" not in doc:
-            return policy, None
-        lad = doc["ladder"]
-        prices = np.asarray(lad["prices"], dtype=np.float64)
-        return policy, PriceLadder(prices, float(lad.get("unit_cost", 0.0)))
+        return policy, (_policy_ladder(doc) if "ladder" in doc else None)
     except KeyError as exc:
         raise InputError(f"policy file {path} has no {exc} entry") from exc
     except (TypeError, ValueError) as exc:
@@ -72,17 +82,10 @@ def cmd_oracle_check(args) -> int:
     if args.inject_broken:
         rows.append(oracle.SweepRow("injected_negative_control", args.seed, 1.0, 1e-9))
     failures = [r for r in rows if not r.passed]
-    out = args.out or sys.stdout
-    own = isinstance(out, str)
-    f = open(out, "w", newline="") if own else out
-    try:
+    with _opened(args.out or sys.stdout, "w") as f:
         writer = csv.writer(f)
         writer.writerow(["check", "seed", "max_error", "tolerance", "verdict"])
-        for row in rows:
-            writer.writerow(row.as_csv_row())
-    finally:
-        if own:
-            f.close()
+        writer.writerows(row.as_csv_row() for row in rows)
     for row in failures:
         print(f"FAILED: {','.join(row.as_csv_row())}", file=sys.stderr)
     return 1 if failures else 0

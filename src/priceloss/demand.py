@@ -1,8 +1,12 @@
 """Plug-in demand models: per-customer sale probabilities on each ladder rung.
 
-A demand model maps customer features to one sale probability per rung. The
-MV and ``cmix`` losses plug these in as their reward model (``losses``), and
-the evaluated policy is greedy on one (``policy``).
+A demand plug-in is any object with ``sale_probs_matrix(features)``, which
+returns one sale probability per record and rung, (n, m). The MV and
+``cmix`` losses plug these in as their reward model (``losses``, which
+checks every plug-in's output and clamps it), and the evaluated policy is
+greedy on one (``policy``). Two plug-ins live here: the fitted T-learner and
+a wrapped function, which also serves the true surface and its blends with a
+constant pessimist.
 
 ``fit_tlearner`` fits the T-learner: on each rung's own records, one logistic
 regression with an L2 penalty. Each rung's objective is strictly convex, so
@@ -12,7 +16,6 @@ together with one batched solve per step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,7 @@ L2_PENALTY = 1e-3
 GRAD_TOL = 1e-8
 MAX_NEWTON_STEPS = 50
 
-# Sale probability of the constant "pessimist" model that BlendedDemandModel
+# Sale probability of the constant "pessimist" model that ``blend_alpha``
 # mixes in.
 PESSIMIST_PROB = 0.01
 
@@ -48,17 +51,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-class DemandModel:
-    """Interface: per-customer sale probabilities across the ladder."""
-
-    m: int
-
-    def sale_probs_matrix(self, features: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
 @dataclass
-class FittedDemandModel(DemandModel):
+class FittedDemandModel:
     """One logistic model per ladder rung (a T-learner).
 
     Row j of ``weights`` holds rung j's feature weights with the bias last.
@@ -73,58 +67,29 @@ class FittedDemandModel(DemandModel):
                 f"demand weights must be (m, d + 1), got shape {self.weights.shape}"
             )
 
-    @property
-    def m(self) -> int:
-        return self.weights.shape[0]
-
     def sale_probs_matrix(self, features: np.ndarray) -> np.ndarray:
         w = self.weights
         return clamp_probs(sigmoid(np.atleast_2d(features) @ w[:, :-1].T + w[:, -1]))
 
-    def to_json(self) -> str:
-        return json.dumps({"type": "per_price_logistic", "weights": self.weights.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "FittedDemandModel":
-        doc = json.loads(text)
-        if doc.get("type") != "per_price_logistic":
-            raise ValueError(f"unsupported demand model type: {doc.get('type')!r}")
-        return cls(weights=doc["weights"])
-
 
 @dataclass
-class CallableDemandModel(DemandModel):
+class CallableDemandModel:
     """Wraps a vectorized ``(features) -> (n, m) sale prob`` function."""
 
     fn: object
-    m: int
 
     def sale_probs_matrix(self, features: np.ndarray) -> np.ndarray:
         return clamp_probs(np.asarray(self.fn(np.atleast_2d(features)), dtype=np.float64))
 
 
-@dataclass
-class BlendedDemandModel(DemandModel):
-    """Convex blend of a base model with the constant pessimist."""
-
-    base: DemandModel
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"blend weight must lie in [0, 1], got {self.alpha}")
-
-    @property
-    def m(self) -> int:
-        return self.base.m
-
-    def sale_probs_matrix(self, features: np.ndarray) -> np.ndarray:
-        true_probs = self.base.sale_probs_matrix(features)
-        return clamp_probs(self.alpha * true_probs + (1.0 - self.alpha) * PESSIMIST_PROB)
-
-
-def blend_alpha(base: DemandModel, alpha: float) -> BlendedDemandModel:
-    return BlendedDemandModel(base=base, alpha=alpha)
+def blend_alpha(base, alpha: float) -> CallableDemandModel:
+    """Convex blend ``alpha * base + (1 - alpha) * PESSIMIST_PROB`` of a plug-in
+    with the constant pessimist."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"blend weight must lie in [0, 1], got {alpha}")
+    return CallableDemandModel(
+        fn=lambda x: alpha * base.sale_probs_matrix(x) + (1.0 - alpha) * PESSIMIST_PROB
+    )
 
 
 def fit_tlearner(dataset: Dataset, ladder: PriceLadder) -> FittedDemandModel:

@@ -161,14 +161,6 @@ def switching_reweight(
     return ReweightMatrix(mat=mat, kind=EstimatorKind.SWITCHING)
 
 
-def generalized_inverse_defect(
-    reweight: ReweightMatrix, transfer: TransferMatrix, loss_vec: np.ndarray
-) -> float:
-    """Max-abs deviation of T' R' lv from lv."""
-    lhs = transfer.mat.T @ (reweight.mat.T @ loss_vec)
-    return float(np.max(np.abs(lhs - loss_vec)))
-
-
 # ---------------------------------------------------------------------------
 # Doubly robust pieces
 # ---------------------------------------------------------------------------

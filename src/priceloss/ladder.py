@@ -338,12 +338,14 @@ def read_csv(path_or_buf, constant_propensities=None) -> Dataset:
         k = cols[name]
         try:
             return np.fromiter(map(convert, map(itemgetter(k), rows)), dtype, n)
-        except (ValueError, KeyError):
+        except (ValueError, KeyError, OverflowError):
             for i, row in enumerate(rows):
                 try:
-                    convert(row[k])
+                    dtype(convert(row[k]))
                 except (ValueError, KeyError):
                     _fail(i, name, msg.format(row[k]))
+                except OverflowError:
+                    _fail(i, name, f"value {row[k]} does not fit in 64 bits")
             raise
 
     X = np.empty((n, d))

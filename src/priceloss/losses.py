@@ -27,7 +27,7 @@ residual at the logged rung j0,
     coef[i, j0] -= (obs_i - mu[i, j0]) / pi_0(p_j0 | x_i)
 
 where obs_i is the margin collected at the logged price (0 without a sale).
-Only mu depends on the kind, with g the demand model's clamped per-rung sale
+Only mu depends on the kind, with g the demand plug-in's clamped per-rung sale
 probabilities and c the switching weight:
 
     ips     0
@@ -38,6 +38,11 @@ probabilities and c the switching weight:
 
 The coefficients are affine in mu, so cmix is built as the c-weighted mix of
 the mv and robust coefficient matrices, which equals the formula at its mu.
+
+The demand plug-in is any object with ``sale_probs_matrix(features)``. Each
+build calls it once at the records' features; its output must be (n, m)
+with finite entries in [0, 1] (a ``ValueError`` names the shape or the first
+bad entry), and it is then clamped away from {0, 1} by ``clamp_probs``.
 
 ``per_record_losses_reference`` reaches the same losses through the explicit
 per-customer left-inverse matrices of ``estimators``.
@@ -98,14 +103,12 @@ def conditional_variance(
 def _demand_matrix(demand, dataset: Dataset) -> np.ndarray:
     """The plug-in's clamped sale probabilities at the dataset's records, (n, m).
 
-    A demand model clamps its own output. A raw array must be (n, m) with
-    finite entries in [0, 1]; it is then clamped the same way.
+    ``demand.sale_probs_matrix`` is called once; its output must be (n, m)
+    with finite entries in [0, 1].
     """
     if demand is None:
         raise ValueError("this estimator needs a demand model")
-    if hasattr(demand, "sale_probs_matrix"):
-        return np.asarray(demand.sale_probs_matrix(dataset.features), dtype=np.float64)
-    g = np.asarray(demand, dtype=np.float64)
+    g = np.asarray(demand.sale_probs_matrix(dataset.features), dtype=np.float64)
     if g.shape != (dataset.n, dataset.m):
         raise ValueError(
             f"demand matrix has shape {g.shape}, expected (n, m) = {(dataset.n, dataset.m)}"

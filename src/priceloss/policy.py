@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demand import DemandModel, fit_tlearner
+from .demand import fit_tlearner
 from .estimators import EstimatorKind
 from .ladder import Dataset, PolicyDist, PriceLadder
 from .losses import loss_coefficients
@@ -51,15 +51,8 @@ def with_bias(features: np.ndarray) -> np.ndarray:
     return np.hstack([features, np.ones((features.shape[0], 1))])
 
 
-class Policy:
-    """Interface: rung probabilities for one or many customers."""
-
-    def probs_matrix(self, features: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
 @dataclass
-class LinearSoftmaxPolicy(Policy):
+class LinearSoftmaxPolicy:
     """One linear score per rung (bias last), normalized by a softmax."""
 
     theta: np.ndarray  # (m, d + 1)
@@ -85,20 +78,9 @@ class LinearSoftmaxPolicy(Policy):
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "LinearSoftmaxPolicy":
-        doc = json.loads(text)
-        if doc.get("type") != "linear_softmax":
-            raise ValueError(f"unsupported policy type: {doc.get('type')!r}")
-        ladder = PriceLadder(
-            np.asarray(doc["ladder"]["prices"], dtype=np.float64),
-            float(doc["ladder"].get("unit_cost", 0.0)),
-        )
-        return cls(theta=np.asarray(doc["theta"], dtype=np.float64), ladder=ladder)
-
 
 @dataclass
-class ConstantPolicy(Policy):
+class ConstantPolicy:
     """Same rung distribution for every customer."""
 
     dist: PolicyDist
@@ -109,13 +91,13 @@ class ConstantPolicy(Policy):
 
 
 @dataclass
-class GreedyDemandPolicy(Policy):
+class GreedyDemandPolicy:
     """Deterministic: pick the rung with the highest estimated reward.
 
     Ties break toward the lower rung (argmax returns the first maximum).
     """
 
-    demand: DemandModel
+    demand: object  # a demand plug-in: anything with ``sale_probs_matrix``
     ladder: PriceLadder
 
     def probs_matrix(self, features: np.ndarray) -> np.ndarray:

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demand import CallableDemandModel, DemandModel, clamp_probs, sigmoid
+from .demand import CallableDemandModel, sigmoid
 from .ladder import Dataset, PriceLadder
+from .policy import softmax_rows
 
 
 class SurfaceKind(str, enum.Enum):
@@ -76,14 +77,9 @@ class DemandSurface:
         logits = score[:, None] - slope[:, None] * scaled - self.logit_shift
         return sigmoid(logits)
 
-    def demand(self, x: np.ndarray, price: float) -> float:
-        return float(self.demand_matrix(x, np.asarray([price]))[0, 0])
-
-    def as_model(self, ladder: PriceLadder) -> DemandModel:
-        """Expose the true surface through the demand-model interface."""
-        return CallableDemandModel(
-            fn=lambda feats: self.demand_matrix(feats, ladder.prices), m=ladder.m
-        )
+    def as_model(self, ladder: PriceLadder) -> CallableDemandModel:
+        """Expose the true surface as a demand plug-in."""
+        return CallableDemandModel(fn=lambda feats: self.demand_matrix(feats, ladder.prices))
 
 
 def sample_surface(
@@ -123,10 +119,7 @@ def logging_policy_matrix(
     surface: DemandSurface, features: np.ndarray, ladder: PriceLadder, scale: float = 5.0
 ) -> np.ndarray:
     """Historic pricing distribution: softmax over scale * demand, (n, m)."""
-    logits = scale * surface.demand_matrix(features, ladder.prices)
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax_rows(scale * surface.demand_matrix(features, ladder.prices))
 
 
 def _sample_categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

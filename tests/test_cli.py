@@ -196,6 +196,27 @@ def test_learn_sweep_trains_every_estimator_and_reruns_byte_identical(tmp_path):
     assert all(np.isfinite(v) for v in means.values())
 
 
+def test_sales_regime_covers_every_shift_and_reruns_byte_identical(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_grid": [40], "reps": 2, "seed": 6}))
+    out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["sales-regime", "--config", str(config), "--out", str(out_a)]) == 0
+    assert main(["sales-regime", "--config", str(config), "--out", str(out_b)]) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+    with open(out_a, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert {r["experiment"] for r in rows} == {"sales-regime"}
+    assert {r["n"] for r in rows} == {"40"}
+    for shift in ("-10.0", "0.0", "10.0"):
+        at = [r for r in rows if r["shift"] == shift]
+        assert {(r["method"], r["metric"]) for r in at if r["stderr"]} == {
+            (method, metric)
+            for method in ("ips", "robust")
+            for metric in ("mse", "reward_mean")
+        }
+        assert all(np.isfinite(float(r["value"])) for r in at)
+
+
 def test_sweep_rows_carry_seed_and_hash(tmp_path):
     cfg = bench.config_from_dict(
         {"n_grid": [30], "reps": 2, "seed": 4, "estimators": ["robust"]}
@@ -268,6 +289,7 @@ _LADDER = {"prices": [1, 2, 3, 4, 5], "unit_cost": 0.0}
         (["--ladder", "5,4,3,2,1"], None, "'5,4,3,2,1'"),
         ([], {"type": "constant", "ladder": _LADDER}, "'probs'"),
         ([], {"type": "linear_softmax", "theta": [[0.0] * 11] * 4, "ladder": _LADDER}, "theta"),
+        ([], [1, 2], "policy.json holds a JSON list"),
     ],
     ids=[
         "propensity-not-a-number",
@@ -276,6 +298,7 @@ _LADDER = {"prices": [1, 2, 3, 4, 5], "unit_cost": 0.0}
         "ladder-decreasing",
         "constant-policy-without-probs",
         "theta-row-count",
+        "policy-not-an-object",
     ],
 )
 def test_eval_csv_input_errors_exit_two_and_name_the_value(

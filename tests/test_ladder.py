@@ -121,6 +121,10 @@ _BAD_CELLS = {
         _csv(_GOOD, "0.1,0.2,3,1,2,0.5,0.5"),
         "row 3, column 'price_index': value 3 outside 1..2",
     ),
+    "price-beyond-int64": (
+        _csv("0.1,0.2,99999999999999999999,1,2,0.5,0.5"),
+        "row 2, column 'price_index': value 99999999999999999999 does not fit in 64 bits",
+    ),
     "price-zero": (
         _csv("0.1,0.2,0,1,2,0.5,0.5"),
         "row 2, column 'price_index': value 0 outside 1..2",
@@ -132,6 +136,10 @@ _BAD_CELLS = {
     "valuation-not-an-integer": (
         _csv("0.1,0.2,1,1,1.5,0.5,0.5"),
         "row 2, column 'valuation_index': not an integer",
+    ),
+    "valuation-beyond-int64": (
+        _csv("0.1,0.2,1,1,99999999999999999999,0.5,0.5"),
+        "row 2, column 'valuation_index': value 99999999999999999999 does not fit in 64 bits",
     ),
     "valuation-above-m": (
         _csv("0.1,0.2,1,1,3,0.5,0.5"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from priceloss.demand import FittedDemandModel
 from priceloss.estimators import (
     EstimatorKind,
     ReweightMatrix,
@@ -225,6 +226,16 @@ def test_loss_coefficients_linearity_contract():
     assert np.allclose(direct, np.sum(pm * coef, axis=1))
 
 
+class _FixedDemand:
+    """A demand plug-in that returns one given matrix, unclamped."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def sale_probs_matrix(self, features):
+        return self.matrix
+
+
 def test_missing_demand_model_raises():
     ds, ladder = _synthetic_dataset(n=20, seed=7)
     pm = np.full((ds.n, 5), 0.2)
@@ -232,14 +243,15 @@ def test_missing_demand_model_raises():
         estimate_policy_value(ds, pm, ladder, EstimatorKind.MIN_VARIANCE)
     with pytest.raises(ValueError, match="weight"):
         estimate_policy_value(
-            ds, pm, ladder, EstimatorKind.SWITCHING, demand=np.full((ds.n, 5), 0.5)
+            ds, pm, ladder, EstimatorKind.SWITCHING,
+            demand=_FixedDemand(np.full((ds.n, 5), 0.5)),
         )
 
 
 def test_raw_demand_matrix_is_clamped_and_checked():
     ds, ladder = _synthetic_dataset(n=20, seed=8)
     pm = np.random.default_rng(9).dirichlet(np.ones(5), size=ds.n)
-    ones = np.ones((ds.n, 5))
+    ones = _FixedDemand(np.ones((ds.n, 5)))
     for kind, weight in ((EstimatorKind.MIN_VARIANCE, None), (EstimatorKind.SWITCHING, 0.4)):
         batched = per_record_losses(ds, pm, ladder, kind, ones, weight)
         reference = per_record_losses_reference(ds, pm, ladder, kind, ones, weight)
@@ -248,6 +260,11 @@ def test_raw_demand_matrix_is_clamped_and_checked():
     bad[3, 2] = 1.5
     for path in (per_record_losses, per_record_losses_reference):
         with pytest.raises(ValueError, match=r"row 3, column 2: 1\.5"):
-            path(ds, pm, ladder, EstimatorKind.MIN_VARIANCE, bad)
-    with pytest.raises(ValueError, match="shape"):
-        per_record_losses(ds, pm, ladder, EstimatorKind.MIN_VARIANCE, bad[:, :4])
+            path(ds, pm, ladder, EstimatorKind.MIN_VARIANCE, _FixedDemand(bad))
+    # a plug-in with too few rungs is refused, not broadcast across the ladder
+    one_rung = FittedDemandModel(weights=np.zeros((1, ds.d + 1)))
+    for path in (per_record_losses, per_record_losses_reference):
+        with pytest.raises(ValueError, match=r"shape \(20, 4\), expected \(n, m\) = \(20, 5\)"):
+            path(ds, pm, ladder, EstimatorKind.MIN_VARIANCE, _FixedDemand(bad[:, :4]))
+        with pytest.raises(ValueError, match=r"shape \(20, 1\), expected \(n, m\) = \(20, 5\)"):
+            path(ds, pm, ladder, EstimatorKind.MIN_VARIANCE, one_rung)

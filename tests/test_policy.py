@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from priceloss.estimators import EstimatorKind
-from priceloss.demand import DemandModel, fit_tlearner
+from priceloss.demand import fit_tlearner
 from priceloss.ladder import Dataset, PriceLadder
 from priceloss.losses import loss_coefficients, per_record_losses
 from priceloss import policy
+from priceloss.cli import _load_policy
 from priceloss.policy import (
     GRAD_TOL,
     ConstantPolicy,
@@ -154,9 +155,7 @@ def test_precomputed_coefficients_match():
 
 
 def test_target_policy_greedy_tie_break():
-    class Flat(DemandModel):
-        m = 3
-
+    class Flat:
         def sale_probs_matrix(self, features):
             return np.full((np.atleast_2d(features).shape[0], 3), 0.5)
 
@@ -166,18 +165,14 @@ def test_target_policy_greedy_tie_break():
     # equal sale probability: the highest margin wins
     assert np.allclose(pm, [[0, 0, 1], [0, 0, 1]])
 
-    class Exact(DemandModel):
-        m = 2
-
+    class Exact:
         def sale_probs_matrix(self, features):
             return np.tile([0.9, 0.1], (np.atleast_2d(features).shape[0], 1))
 
     pol2 = GreedyDemandPolicy(demand=Exact(), ladder=PriceLadder(np.array([1.0, 2.0])))
     assert np.allclose(pol2.probs_matrix(np.zeros((1, 1))), [[1.0, 0.0]])
 
-    class Tied(DemandModel):
-        m = 2
-
+    class Tied:
         def sale_probs_matrix(self, features):
             return np.tile([0.8, 0.4], (np.atleast_2d(features).shape[0], 1))
 
@@ -235,10 +230,13 @@ def test_select_weight_shuns_adversarial_plugin():
     assert c_wrong < c_right
 
 
-def test_policy_serialization_round_trip():
+def test_policy_serialization_round_trip(tmp_path):
     theta = np.random.default_rng(10).standard_normal((5, 7))
     pol = LinearSoftmaxPolicy(theta=theta, ladder=LADDER)
-    back = LinearSoftmaxPolicy.from_json(pol.to_json())
+    path = tmp_path / "policy.json"
+    path.write_text(pol.to_json())
+    back, ladder = _load_policy(str(path))
+    assert ladder is back.ladder
     x = np.random.default_rng(11).standard_normal((3, 6))
     assert np.allclose(pol.probs_matrix(x), back.probs_matrix(x))
     assert back.ladder.unit_cost == LADDER.unit_cost
