@@ -22,7 +22,7 @@ import numpy as np
 from .demand import blend_alpha, fit_tlearner
 from .estimators import EstimatorKind
 from .ladder import PriceLadder, _opened
-from .losses import estimate_policy_value, loss_coefficients
+from .losses import estimator_losses
 from .policy import (
     optimize_policy,
     select_switching_weight,
@@ -152,18 +152,15 @@ def eval_replication(
     pm = policy.probs_matrix(obs.features)
     truth = true_policy_value(pm, obs.valuations, ladder)
 
-    out: dict[str, float] = {}
-    for name in cfg.estimators:
-        weight = None
-        if name == "cmix":
-            weight = select_switching_weight(
-                obs, pm, ladder, demand, folds=cfg.cv_folds
-            )
-        value = estimate_policy_value(
-            obs, pm, ladder, EstimatorKind(name), demand, switching_weight=weight
-        )
-        out[name] = (value - truth) ** 2
-    return out
+    per_kind = estimator_losses(
+        obs,
+        pm,
+        ladder,
+        [EstimatorKind(name) for name in cfg.estimators],
+        demand,
+        lambda mv, rob: select_switching_weight(pm, mv, rob, folds=cfg.cv_folds),
+    )
+    return {kind.value: (float(losses.mean()) - truth) ** 2 for kind, (losses, _) in per_kind.items()}
 
 
 def learn_replication(

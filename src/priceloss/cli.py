@@ -26,7 +26,7 @@ from .ladder import (
     validate,
     write_csv,
 )
-from .losses import per_record_losses
+from .losses import estimator_losses
 from .policy import ConstantPolicy, LinearSoftmaxPolicy, select_switching_weight
 from .synthgen import GenConfig, SurfaceKind, sample_surface, generate_dataset
 
@@ -148,20 +148,20 @@ def cmd_eval_csv(args) -> int:
     report = validate(dataset)
     pm = policy.probs_matrix(dataset.features)
 
-    kinds = [k.strip() for k in args.estimators.split(",")]
-    needs_demand = any(k in ("mv", "cmix") for k in kinds)
+    kinds = []
+    for name in (k.strip() for k in args.estimators.split(",")):
+        try:
+            kinds.append(EstimatorKind(name))
+        except ValueError as exc:
+            raise InputError(f"unknown estimator {name!r}") from exc
+    needs_demand = any(k in (EstimatorKind.MIN_VARIANCE, EstimatorKind.SWITCHING) for k in kinds)
     demand = fit_tlearner(dataset, ladder) if needs_demand else None
 
     results = {}
-    for name in kinds:
-        try:
-            kind = EstimatorKind(name)
-        except ValueError as exc:
-            raise InputError(f"unknown estimator {name!r}") from exc
-        weight = None
-        if kind == EstimatorKind.SWITCHING:
-            weight = select_switching_weight(dataset, pm, ladder, demand)
-        losses = per_record_losses(dataset, pm, ladder, kind, demand, weight)
+    per_kind = estimator_losses(
+        dataset, pm, ladder, kinds, demand, lambda mv, rob: select_switching_weight(pm, mv, rob)
+    )
+    for kind, (losses, weight) in per_kind.items():
         entry = {
             "estimated_loss": float(losses.mean()),
             "estimated_reward": float(-losses.mean()),
@@ -169,7 +169,7 @@ def cmd_eval_csv(args) -> int:
         }
         if weight is not None:
             entry["chosen_c"] = weight
-        results[name] = entry
+        results[kind.value] = entry
 
     doc = {
         "n": dataset.n,

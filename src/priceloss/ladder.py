@@ -14,10 +14,11 @@ Conventions used across the package:
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
@@ -236,10 +237,16 @@ def validate(dataset: Dataset, floor: float = PROPENSITY_FLOOR) -> ValidationRep
 
 # ---------------------------------------------------------------------------
 # CSV schema: x_0,...,x_{d-1},price_index,sold[,valuation_index][,pi_1..pi_m]
-# The codec works one column at a time. The reader parses each column in one
-# pass into a typed array and checks ranges and propensity rows as whole-column
-# comparisons; only a column that fails to parse is walked again, to name its
-# first bad cell. Checks run in schema order, each naming its first bad row.
+# Numbers are ASCII numerals without '_' (surrounding whitespace allowed);
+# sold is 0/1/true/false in any case; a field may be quoted with '"'. Columns
+# the schema does not use are ignored.
+# The reader parses the whole file in one np.loadtxt pass with one structured
+# field per header column, so every row must have the header's width; its line
+# source rejects the blank lines loadtxt would skip. Range and propensity-row
+# checks then run as whole-column comparisons. Only when the pass fails does a
+# csv.reader walk run, to name the first bad row or cell in schema order with
+# the same per-cell rule; checks run in schema order, each naming its first
+# bad row. The writer formats each column once.
 # ---------------------------------------------------------------------------
 
 _SOLD = {"0": False, "false": False, "1": True, "true": True}
@@ -271,9 +278,10 @@ def write_csv(dataset: Dataset, path_or_buf) -> None:
         + [map(repr, col) for col in dataset.propensities.T.tolist()]
     )
     with _opened(path_or_buf, "w") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        # Every field is a number or a fixed header name, so no field ever
+        # needs csv quoting; rows end in "\r\n" as csv.writer's would.
+        f.write(",".join(header) + "\r\n")
+        f.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 def _fail(i, name, msg):
@@ -286,89 +294,184 @@ def _check_range(values, name, lo, hi):
         _fail(bad[0], name, f"value {values[bad[0]]} outside {lo}..{hi}")
 
 
+def _numeral(cell: str) -> str:
+    """``cell`` without surrounding whitespace, if numpy's parser would read it.
+
+    Python's ``float`` and ``int`` also take '_' digit separators and
+    non-ASCII digits; numpy's parser takes neither.
+    """
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(cell)
+    return text
+
+
+def _sold(cell: str) -> bool:
+    return _SOLD[cell.strip().lower()]
+
+
+def _cell_rule(name: str):
+    """(converter, dtype, message) of a schema column; ``message.format(cell)``
+    describes a cell the converter rejects."""
+    if name == "sold":
+        return _sold, np.bool_, "expected 0/1, got {!r}"
+    if name == "price_index":
+        return lambda c: int(_numeral(c)), np.int64, "not an integer: {!r}"
+    if name == "valuation_index":
+        return lambda c: int(_numeral(c)), np.int64, "not an integer"
+    if name.startswith("x_"):
+        return lambda c: float(_numeral(c)), np.float64, "not a number: {!r}"
+    return lambda c: float(_numeral(c)), np.float64, "not a number"
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Where each schema column sits in a file, as its header says."""
+
+    header: list[str]
+    cols: dict[str, int]
+    d: int
+    m: int
+    has_val: bool
+    const: Propensities | None
+
+    @classmethod
+    def of(cls, header: list[str], constant_propensities) -> "_Layout":
+        cols = {name: k for k, name in enumerate(header)}
+        d = 0
+        while f"x_{d}" in cols:
+            d += 1
+        if d == 0:
+            raise SchemaError("no feature columns x_0.. found in header")
+        for required in ("price_index", "sold"):
+            if required not in cols:
+                raise SchemaError(f"missing required column '{required}'")
+        m_cols = 0
+        while f"pi_{m_cols + 1}" in cols:
+            m_cols += 1
+        if m_cols == 0 and constant_propensities is None:
+            raise SchemaError(
+                "no pi_1..pi_m columns and no constant propensities supplied"
+            )
+        const = None
+        if constant_propensities is not None:
+            const = Propensities(np.asarray(constant_propensities, dtype=np.float64))
+        m = m_cols if const is None else const.m
+        return cls(header, cols, d, m, "valuation_index" in cols, const)
+
+    def used(self) -> list[str]:
+        """The columns the dataset is built from, in schema order."""
+        return (
+            [f"x_{j}" for j in range(self.d)]
+            + ["price_index", "sold"]
+            + (["valuation_index"] if self.has_val else [])
+            + ([f"pi_{j + 1}" for j in range(self.m)] if self.const is None else [])
+        )
+
+    def dtype(self) -> np.dtype:
+        """One field per header column; a column the schema does not use is a
+        one-character string that nothing reads."""
+        fields = [(f"c{k}", "U1") for k in range(len(self.header))]
+        for name in self.used():
+            fields[self.cols[name]] = (f"c{self.cols[name]}", _cell_rule(name)[1])
+        return np.dtype(fields)
+
+    def dataset(self, column) -> Dataset:
+        """The dataset from ``column(name)``, each column's values as an array,
+        checking ranges and propensity rows in schema order."""
+        X = np.column_stack([column(f"x_{j}") for j in range(self.d)])
+        price = np.ascontiguousarray(column("price_index"))
+        _check_range(price, "price_index", 1, self.m)
+        sold = np.ascontiguousarray(column("sold"))
+        vals = None
+        if self.has_val:
+            vals = np.ascontiguousarray(column("valuation_index"))
+            _check_range(vals, "valuation_index", 0, self.m)
+        if self.const is not None:
+            pis = np.tile(self.const.probs, (X.shape[0], 1))
+        else:
+            pis = np.column_stack([column(f"pi_{j + 1}") for j in range(self.m)])
+            ok = (pis > 0.0).all(axis=1) & (np.abs(pis.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+            for i in np.flatnonzero(~ok):
+                try:
+                    _check_simplex(pis[i], f"row {i + 2} propensities", strict_positive=True)
+                except SimplexError as exc:
+                    raise SchemaError(str(exc)) from None
+        return Dataset(features=X, price_index=price, sold=sold, propensities=pis, valuations=vals)
+
+
+def _data_lines(lines):
+    """``lines`` unchanged, raising on a blank one (loadtxt would skip it)."""
+    for k, line in enumerate(lines, start=1):
+        if not line.strip():
+            raise SchemaError(f"line {k} after the header is blank")
+        yield line
+
+
+def _walked_column(rows, name, k):
+    """Column ``name`` (field ``k``) converted cell by cell, naming the first bad one."""
+    convert, dtype, msg = _cell_rule(name)
+    out = np.empty(len(rows), dtype)
+    for i, row in enumerate(rows):
+        try:
+            out[i] = convert(row[k])
+        except (ValueError, KeyError):
+            _fail(i, name, msg.format(row[k]))
+        except OverflowError:
+            _fail(i, name, f"value {row[k]} does not fit in 64 bits")
+    return out
+
+
+def _name_first_error(f, layout: _Layout) -> None:
+    """Walk the text again with ``csv.reader`` and raise a :class:`SchemaError`
+    naming the first bad row or cell in schema order; return if there is none."""
+    reader = csv.reader(f)
+    next(reader)
+    rows = list(reader)
+    width = len(layout.header)
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise SchemaError(f"row {i + 2}: expected {width} fields, got {len(row)}")
+    layout.dataset(lambda name: _walked_column(rows, name, layout.cols[name]))
+
+
 def read_csv(path_or_buf, constant_propensities=None) -> Dataset:
     """Load a dataset from the canonical CSV schema.
 
     Propensities come either from per-row ``pi_1..pi_m`` columns or from
     ``constant_propensities`` (one vector applied to every row). Raises
     :class:`SchemaError` naming the offending row/column on any violation.
+
+    The records are parsed in one ``np.loadtxt`` pass; a file is accepted
+    exactly when that pass and the range and propensity checks accept it. When
+    the pass fails, a ``csv.reader`` walk over the text names the first bad row
+    or cell; if it finds none, the pass's own message is raised.
     """
     with _opened(path_or_buf, "r") as f:
-        reader = csv.reader(f)
+        if not f.seekable():
+            f = io.StringIO(f.read(), newline="")  # the naming walk reads it twice
+        start = f.tell()
         try:
-            header = next(reader)
+            header = next(csv.reader(f))
         except StopIteration:
             raise SchemaError("empty file") from None
-        rows = list(reader)
-
-    cols = {name: k for k, name in enumerate(header)}
-    d = 0
-    while f"x_{d}" in cols:
-        d += 1
-    if d == 0:
-        raise SchemaError("no feature columns x_0.. found in header")
-    for required in ("price_index", "sold"):
-        if required not in cols:
-            raise SchemaError(f"missing required column '{required}'")
-    has_val = "valuation_index" in cols
-    m_cols = 0
-    while f"pi_{m_cols + 1}" in cols:
-        m_cols += 1
-
-    if m_cols == 0 and constant_propensities is None:
-        raise SchemaError(
-            "no pi_1..pi_m columns and no constant propensities supplied"
-        )
-    const = None
-    if constant_propensities is not None:
-        const = Propensities(np.asarray(constant_propensities, dtype=np.float64))
-    m = m_cols if const is None else const.m
-
-    n = len(rows)
-    if n == 0:
-        raise SchemaError("dataset has a header but no rows")
-    for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise SchemaError(
-                f"row {i + 2}: expected {len(header)} fields, got {len(row)}"
-            )
-
-    def parse(name, msg, convert=float, dtype=np.float64):
-        """Column ``name`` as a typed array; ``msg.format(cell)`` describes a bad cell."""
-        k = cols[name]
+        layout = _Layout.of(header, constant_propensities)
+        first = next(f, None)
+        if first is None:
+            raise SchemaError("dataset has a header but no rows")
+        sold = layout.cols["sold"]
         try:
-            return np.fromiter(map(convert, map(itemgetter(k), rows)), dtype, n)
-        except (ValueError, KeyError, OverflowError):
-            for i, row in enumerate(rows):
-                try:
-                    dtype(convert(row[k]))
-                except (ValueError, KeyError):
-                    _fail(i, name, msg.format(row[k]))
-                except OverflowError:
-                    _fail(i, name, f"value {row[k]} does not fit in 64 bits")
-            raise
-
-    X = np.empty((n, d))
-    for j in range(d):
-        X[:, j] = parse(f"x_{j}", "not a number: {!r}")
-    price = parse("price_index", "not an integer: {!r}", int, np.int64)
-    _check_range(price, "price_index", 1, m)
-    sold = parse("sold", "expected 0/1, got {!r}", lambda c: _SOLD[c.strip().lower()], bool)
-    vals = None
-    if has_val:
-        vals = parse("valuation_index", "not an integer", int, np.int64)
-        _check_range(vals, "valuation_index", 0, m)
-    if const is not None:
-        pis = np.tile(const.probs, (n, 1))
-    else:
-        pis = np.empty((n, m))
-        for j in range(m):
-            pis[:, j] = parse(f"pi_{j + 1}", "not a number")
-        ok = (pis > 0.0).all(axis=1) & (np.abs(pis.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
-        for i in np.flatnonzero(~ok):
-            try:
-                _check_simplex(pis[i], f"row {i + 2} propensities", strict_positive=True)
-            except SimplexError as exc:
-                raise SchemaError(str(exc)) from None
-
-    return Dataset(features=X, price_index=price, sold=sold, propensities=pis, valuations=vals)
+            table = np.loadtxt(
+                _data_lines(chain([first], f)),
+                dtype=layout.dtype(),
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                converters={sold: _sold},
+                ndmin=1,
+            )
+        except ValueError as exc:
+            f.seek(start)
+            _name_first_error(f, layout)
+            raise SchemaError(str(exc)) from None
+    return layout.dataset(lambda name: table[f"c{layout.cols[name]}"])

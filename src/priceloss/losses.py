@@ -36,8 +36,12 @@ probabilities and c the switching weight:
     mv      margins * g
     cmix    margins * (c g + (1 - c) / 2)
 
-The coefficients are affine in mu, so cmix is built as the c-weighted mix of
-the mv and robust coefficient matrices, which equals the formula at its mu.
+The coefficients are affine in mu, so cmix is built as the c-weighted mix
+c * coef_mv + (1 - c) * coef_robust of the mv and robust coefficient matrices
+(``mix_coefficients``), which equals the formula at its mu.
+``estimator_losses`` evaluates several kinds on one dataset and builds each
+coefficient matrix once: cmix and the choice of c reuse the mv and robust
+matrices that the mv and robust estimates use.
 
 The demand plug-in is any object with ``sale_probs_matrix(features)``. Each
 build calls it once at the records' features; its output must be (n, m)
@@ -161,7 +165,7 @@ def loss_coefficients(
             raise ValueError("switching weight must lie in [0, 1]")
         mv = loss_coefficients(dataset, ladder, EstimatorKind.MIN_VARIANCE, demand)
         rob = loss_coefficients(dataset, ladder, EstimatorKind.ROBUST)
-        return switching_weight * mv + (1.0 - switching_weight) * rob
+        return mix_coefficients(mv, rob, switching_weight)
     mu = np.broadcast_to(_reward_plugin(dataset, ladder, kind, demand), (dataset.n, m))
     rows = np.arange(dataset.n)
     j0 = dataset.price_index - 1
@@ -169,6 +173,55 @@ def loss_coefficients(
     coef = -mu
     coef[rows, j0] -= (observed - mu[rows, j0]) / dataset.propensities[rows, j0]
     return coef
+
+
+def mix_coefficients(coef_mv: np.ndarray, coef_rob: np.ndarray, weight: float) -> np.ndarray:
+    """The cmix coefficients at switching weight c: c * mv + (1 - c) * robust."""
+    return weight * coef_mv + (1.0 - weight) * coef_rob
+
+
+def _checked_policy_matrix(dataset: Dataset, policy_matrix: np.ndarray) -> np.ndarray:
+    pm = np.atleast_2d(np.asarray(policy_matrix, dtype=np.float64))
+    if pm.shape != (dataset.n, dataset.m):
+        raise ValueError(f"policy matrix must be (n, m) = {(dataset.n, dataset.m)}")
+    return pm
+
+
+def estimator_losses(
+    dataset: Dataset,
+    policy_matrix: np.ndarray,
+    ladder: PriceLadder,
+    kinds,
+    demand,
+    choose_weight,
+) -> dict[EstimatorKind, tuple[np.ndarray, float | None]]:
+    """Per-record corrupted losses of each kind in ``kinds``, with cmix's weight.
+
+    Each coefficient matrix is built once. For cmix,
+    ``choose_weight(coef_mv, coef_rob)`` picks the switching weight from the
+    mv and robust matrices, and the weight is returned beside its losses
+    (``None`` for the other kinds).
+    """
+    pm = _checked_policy_matrix(dataset, policy_matrix)
+    built: dict[EstimatorKind, np.ndarray] = {}
+
+    def coefficients(kind):
+        if kind not in built:
+            built[kind] = loss_coefficients(dataset, ladder, kind, demand)
+        return built[kind]
+
+    out = {}
+    for kind in kinds:
+        weight = None
+        if kind == EstimatorKind.SWITCHING:
+            mv = coefficients(EstimatorKind.MIN_VARIANCE)
+            rob = coefficients(EstimatorKind.ROBUST)
+            weight = choose_weight(mv, rob)
+            coef = mix_coefficients(mv, rob, weight)
+        else:
+            coef = coefficients(kind)
+        out[kind] = (np.sum(pm * coef, axis=1), weight)
+    return out
 
 
 def per_record_losses(
@@ -180,9 +233,7 @@ def per_record_losses(
     switching_weight: float | None = None,
 ) -> np.ndarray:
     """Corrupted loss of every record under the given policy probabilities."""
-    pm = np.atleast_2d(np.asarray(policy_matrix, dtype=np.float64))
-    if pm.shape != (dataset.n, dataset.m):
-        raise ValueError(f"policy matrix must be (n, m) = {(dataset.n, dataset.m)}")
+    pm = _checked_policy_matrix(dataset, policy_matrix)
     coef = loss_coefficients(dataset, ladder, kind, demand, switching_weight)
     return np.sum(pm * coef, axis=1)
 

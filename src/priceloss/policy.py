@@ -344,28 +344,27 @@ def _fold_slices(n: int, folds: int) -> list[np.ndarray]:
 
 
 def select_switching_weight(
-    dataset: Dataset,
     policy_matrix: np.ndarray,
-    ladder: PriceLadder,
-    demand,
+    coef_mv: np.ndarray,
+    coef_rob: np.ndarray,
     grid=DEFAULT_WEIGHT_GRID,
     folds: int = CV_FOLDS,
 ) -> float:
     """Evaluation-mode choice: the weight with the lowest cross-fold variance.
 
-    The per-record losses of the two mixture endpoints are computed once;
-    the candidate's loss is their convex mix, and its empirical variance is
-    averaged over held-out folds.
+    ``coef_mv`` and ``coef_rob`` are the dataset's mv and robust loss
+    coefficients. The per-record losses of these two mixture endpoints are
+    computed once; the candidate's loss is their convex mix, and its
+    empirical variance is averaged over held-out folds.
     """
     grid = [float(c) for c in grid]
     if not grid or any(not 0.0 <= c <= 1.0 for c in grid):
         raise ValueError("grid must be nonempty within [0, 1]")
     pm = np.atleast_2d(policy_matrix)
-    coef_mv = loss_coefficients(dataset, ladder, EstimatorKind.MIN_VARIANCE, demand)
-    coef_rob = loss_coefficients(dataset, ladder, EstimatorKind.ROBUST)
     loss_mv = np.sum(pm * coef_mv, axis=1)
     loss_rob = np.sum(pm * coef_rob, axis=1)
-    slices = _fold_slices(dataset.n, min(folds, dataset.n))
+    n = loss_mv.shape[0]
+    slices = _fold_slices(n, min(folds, n))
     best_c, best_var = grid[0], np.inf
     for c in grid:
         mixed = c * loss_mv + (1.0 - c) * loss_rob

@@ -6,6 +6,7 @@ import pytest
 
 from priceloss import bench
 from priceloss.cli import main
+from priceloss.demand import FittedDemandModel
 from priceloss.ladder import read_csv
 from priceloss.policy import LinearSoftmaxPolicy
 from priceloss.ladder import PriceLadder
@@ -87,6 +88,26 @@ def test_eval_csv_round_trip(tmp_path, capsys):
     assert set(doc["estimators"]) == {"ips", "mv", "robust", "cmix"}
     assert "chosen_c" in doc["estimators"]["cmix"]
     assert doc["min_propensity"] > 0
+
+
+def test_eval_csv_builds_each_coefficient_matrix_once(tmp_path, monkeypatch):
+    # mv, robust, cmix and the choice of cmix's weight share one mv matrix, so
+    # the fitted plug-in is evaluated once over the records
+    data = tmp_path / "data.csv"
+    main(["gen", "--n", "300", "--seed", "5", "--out", str(data)])
+    policy = _write_policy(tmp_path, "linear")
+    calls = []
+    original = FittedDemandModel.sale_probs_matrix
+
+    def counted(self, features):
+        calls.append(features.shape)
+        return original(self, features)
+
+    monkeypatch.setattr(FittedDemandModel, "sale_probs_matrix", counted)
+    out = tmp_path / "result.json"
+    assert main(["eval-csv", str(data), "--policy", str(policy), "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["estimators"]) == {"ips", "mv", "robust", "cmix"}
+    assert calls == [(300, 10)]
 
 
 def test_eval_csv_on_policy_ips_identity(tmp_path):

@@ -1,4 +1,7 @@
+import csv
 import io
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +168,23 @@ _BAD_CELLS = {
         "row 2 propensities: entries sum to 1.1, expected 1",
     ),
     "field-count": (_csv(_GOOD, "0.1,0.2,1,1,2,0.5"), "row 3: expected 7 fields, got 6"),
+    "row-wider-than-header": (
+        _csv(_GOOD, "0.1,0.2,1,1,2,0.5,0.5,9"),
+        "row 3: expected 7 fields, got 8",
+    ),
+    "blank-middle-line": (_csv(_GOOD, "", _GOOD), "row 3: expected 7 fields, got 0"),
+    "trailing-blank-line": (_csv(_GOOD, ""), "row 3: expected 7 fields, got 0"),
+    "whitespace-only-line": (_csv(_GOOD, "  ", _GOOD), "row 3: expected 7 fields, got 1"),
+    # numpy's parser reads ASCII numerals without '_'; Python's float and int
+    # would also take these two.
+    "x-with-underscore": (
+        _csv("1_0,0.2,1,1,2,0.5,0.5"),
+        "row 2, column 'x_0': not a number: '1_0'",
+    ),
+    "price-in-arabic-indic-digits": (
+        _csv("0.1,0.2,\u0661,1,2,0.5,0.5"),
+        "row 2, column 'price_index': not an integer: '\u0661'",
+    ),
     "header-only": (_csv(), "dataset has a header but no rows"),
     "empty-file": ("", "empty file"),
     "pi-sum-in-row-20002": (
@@ -188,6 +208,70 @@ def test_read_csv_names_the_bad_cell(text, message):
 def test_read_csv_accepts_spaced_and_worded_sold_values():
     ds = lad.read_csv(io.StringIO(_csv("0.1,0.2,1, TRUE ,2,0.5,0.5", "0.1,0.2,2,false,0,0.5,0.5")))
     assert ds.sold.tolist() == [True, False]
+
+
+def test_read_csv_unquotes_cells_and_ignores_unknown_columns():
+    text = "x_0,note,x_1,price_index,sold,pi_1,pi_2\n" '"1.5",any text,0.2,"2",1,0.5,0.5\n'
+    ds = lad.read_csv(io.StringIO(text))
+    assert ds.features.tolist() == [[1.5, 0.2]]
+    assert ds.price_index.tolist() == [2]
+
+
+def test_read_csv_accepts_cr_only_line_ends(tmp_path):
+    lf = _csv(_GOOD, "0.3,0.4,2,0,0,0.25,0.75")
+    path = tmp_path / "cr.csv"
+    path.write_bytes(lf.replace("\n", "\r").encode())
+    a, b = lad.read_csv(str(path)), lad.read_csv(io.StringIO(lf))
+    for name in ("features", "price_index", "sold", "valuations", "propensities"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_read_csv_header_only_raises_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(lad.SchemaError, match="^dataset has a header but no rows$"):
+            lad.read_csv(io.StringIO(_csv()))
+
+
+def test_read_csv_names_the_bad_cell_in_a_file_on_disk(tmp_path):
+    # the naming walk reads the file a second time
+    path = tmp_path / "bad.csv"
+    path.write_text(_csv(*[_GOOD] * 50, "0.1,0.2,1,maybe,2,0.5,0.5"))
+    with pytest.raises(lad.SchemaError) as exc:
+        lad.read_csv(str(path))
+    assert str(exc.value) == "row 52, column 'sold': expected 0/1, got 'maybe'"
+
+
+def test_read_csv_names_the_bad_cell_in_a_pipe():
+    # a stream that cannot seek is read into memory once, so the walk can
+    # read it again
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, _csv(_GOOD, "0.1,0.2,1,1,2,0.5,half").encode())
+    os.close(write_fd)
+    with os.fdopen(read_fd, newline="") as pipe:
+        with pytest.raises(lad.SchemaError) as exc:
+            lad.read_csv(pipe)
+    assert str(exc.value) == "row 3, column 'pi_2': not a number"
+
+
+def test_write_csv_matches_csv_writer():
+    ds = _toy_dataset(valuations=np.array([1, 1, 2, 3]))
+    buf = io.StringIO()
+    lad.write_csv(ds, buf)
+    ref = io.StringIO()
+    writer = csv.writer(ref)
+    writer.writerow(
+        [f"x_{j}" for j in range(ds.d)]
+        + ["price_index", "sold", "valuation_index"]
+        + [f"pi_{j + 1}" for j in range(ds.m)]
+    )
+    for i in range(ds.n):
+        writer.writerow(
+            [repr(float(v)) for v in ds.features[i]]
+            + [str(int(ds.price_index[i])), str(int(ds.sold[i])), str(int(ds.valuations[i]))]
+            + [repr(float(v)) for v in ds.propensities[i]]
+        )
+    assert buf.getvalue() == ref.getvalue()
 
 
 def test_read_csv_checks_columns_in_schema_order():

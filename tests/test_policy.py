@@ -190,11 +190,19 @@ def test_target_policy_from_training_split():
     assert np.all(np.max(pm, axis=1) == 1.0)  # deterministic
 
 
+def _mv_and_robust(ds, model):
+    """The mv and robust coefficients that ``select_switching_weight`` mixes."""
+    return (
+        loss_coefficients(ds, LADDER, EstimatorKind.MIN_VARIANCE, model),
+        loss_coefficients(ds, LADDER, EstimatorKind.ROBUST),
+    )
+
+
 def test_select_weight_singleton_grid():
     ds = _dataset(n=60, seed=7)
     model = fit_tlearner(ds, LADDER)
     pm = np.full((ds.n, 5), 0.2)
-    assert select_switching_weight(ds, pm, LADDER, model, grid=[0.5]) == 0.5
+    assert select_switching_weight(pm, *_mv_and_robust(ds, model), grid=[0.5]) == 0.5
     assert (
         select_switching_weight_for_training(ds, LADDER, model, grid=[0.5]) == 0.5
     )
@@ -209,7 +217,7 @@ def test_select_weight_prefers_exact_plugin():
     ds = generate_dataset(surface, GenConfig(n=4000, d=d), rng)
     truth = surface.as_model(LADDER)
     pm = np.full((ds.n, 5), 0.2)
-    c = select_switching_weight(ds, pm, LADDER, truth)
+    c = select_switching_weight(pm, *_mv_and_robust(ds, truth))
     assert c >= 0.8
 
 
@@ -225,8 +233,8 @@ def test_select_weight_shuns_adversarial_plugin():
         generate_dataset(surface, GenConfig(n=100, d=d), rng), LADDER
     )
     pm = pol.probs_matrix(ds.features)
-    c_wrong = select_switching_weight(ds, pm, LADDER, wrong)
-    c_right = select_switching_weight(ds, pm, LADDER, surface.as_model(LADDER))
+    c_wrong = select_switching_weight(pm, *_mv_and_robust(ds, wrong))
+    c_right = select_switching_weight(pm, *_mv_and_robust(ds, surface.as_model(LADDER)))
     assert c_wrong < c_right
 
 

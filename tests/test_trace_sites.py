@@ -8,7 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from priceloss import bench, demand, policy
+from priceloss import bench, cli, demand, ladder, policy
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -22,7 +22,15 @@ def _load_spans():
 
 
 def _sites():
-    return (bench.fit_tlearner, policy.fit_tlearner, demand.FittedDemandModel.sale_probs_matrix)
+    return (
+        bench.fit_tlearner,
+        policy.fit_tlearner,
+        demand.FittedDemandModel.sale_probs_matrix,
+        cli.read_csv,
+        ladder.write_csv,
+        cli.select_switching_weight,
+        bench.select_switching_weight,
+    )
 
 
 def test_benchmark_wrap_sites_install_and_restore():
