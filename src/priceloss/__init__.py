@@ -29,7 +29,6 @@ from .estimators import (
 from .losses import (
     conditional_variance,
     corrupted_loss_vector,
-    estimate_policy_value,
     per_record_losses,
     valuation_loss_vector,
 )

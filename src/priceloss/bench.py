@@ -22,7 +22,7 @@ import numpy as np
 from .demand import blend_alpha, fit_tlearner
 from .estimators import EstimatorKind
 from .ladder import PriceLadder, _opened
-from .losses import estimator_losses
+from .losses import estimator_coefficients
 from .policy import (
     optimize_policy,
     select_switching_weight,
@@ -152,15 +152,17 @@ def eval_replication(
     pm = policy.probs_matrix(obs.features)
     truth = true_policy_value(pm, obs.valuations, ladder)
 
-    per_kind = estimator_losses(
+    per_kind = estimator_coefficients(
         obs,
-        pm,
         ladder,
         [EstimatorKind(name) for name in cfg.estimators],
         demand,
         lambda mv, rob: select_switching_weight(pm, mv, rob, folds=cfg.cv_folds),
     )
-    return {kind.value: (float(losses.mean()) - truth) ** 2 for kind, (losses, _) in per_kind.items()}
+    return {
+        kind.value: (float(np.sum(pm * coef, axis=1).mean()) - truth) ** 2
+        for kind, (coef, _) in per_kind.items()
+    }
 
 
 def learn_replication(
@@ -176,18 +178,20 @@ def learn_replication(
     demand = _plugin_demand(cfg, surface, ladder, alpha, rng)
     test = generate_dataset(surface, _gen_config(cfg, cfg.test_size), rng)
 
+    per_kind = estimator_coefficients(
+        obs,
+        ladder,
+        [EstimatorKind(name) for name in cfg.estimators],
+        demand,
+        lambda mv, rob: select_switching_weight_for_training(
+            obs.features, mv, rob, folds=cfg.cv_folds
+        ),
+    )
     out: dict[str, float] = {}
-    for name in cfg.estimators:
-        weight = None
-        if name == "cmix":
-            weight = select_switching_weight_for_training(
-                obs, ladder, demand, folds=cfg.cv_folds
-            )
-        result = optimize_policy(
-            obs, ladder, EstimatorKind(name), demand, switching_weight=weight
-        )
+    for kind, (coef, _) in per_kind.items():
+        result = optimize_policy(obs.features, ladder, coef)
         test_pm = result.policy.probs_matrix(test.features)
-        out[name] = -true_policy_value(test_pm, test.valuations, ladder)
+        out[kind.value] = -true_policy_value(test_pm, test.valuations, ladder)
     return out
 
 

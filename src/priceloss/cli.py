@@ -26,7 +26,7 @@ from .ladder import (
     validate,
     write_csv,
 )
-from .losses import estimator_losses
+from .losses import estimator_coefficients
 from .policy import ConstantPolicy, LinearSoftmaxPolicy, select_switching_weight
 from .synthgen import GenConfig, SurfaceKind, sample_surface, generate_dataset
 
@@ -131,6 +131,10 @@ def cmd_eval_csv(args) -> int:
         ladder = _parse_ladder(args.ladder, args.unit_cost)
     if ladder is None:
         raise InputError("no ladder given: pass --ladder or use a policy file that carries one")
+    linear = isinstance(policy, LinearSoftmaxPolicy)
+    rungs = policy.theta.shape[0] if linear else policy.dist.m
+    if rungs != ladder.m:
+        raise InputError(f"policy has {rungs} rungs but the ladder has {ladder.m}")
     const = None
     if args.propensities:
         try:
@@ -139,12 +143,17 @@ def cmd_eval_csv(args) -> int:
             raise InputError(f"bad --propensities {args.propensities!r}: {exc}") from exc
     try:
         dataset = read_csv(args.dataset, constant_propensities=const)
+    except OSError as exc:
+        raise InputError(f"cannot read dataset {args.dataset}: {exc}") from exc
     except SchemaError as exc:
         raise InputError(f"schema violation: {exc}") from exc
     if dataset.m != ladder.m:
         raise InputError(
             f"dataset has {dataset.m} propensity columns but the ladder has {ladder.m} rungs"
         )
+    if linear and policy.theta.shape[1] != dataset.d + 1:
+        cols, d = policy.theta.shape[1], dataset.d
+        raise InputError(f"policy theta has {cols} columns but {d} features need {d + 1}")
     report = validate(dataset)
     pm = policy.probs_matrix(dataset.features)
 
@@ -158,10 +167,11 @@ def cmd_eval_csv(args) -> int:
     demand = fit_tlearner(dataset, ladder) if needs_demand else None
 
     results = {}
-    per_kind = estimator_losses(
-        dataset, pm, ladder, kinds, demand, lambda mv, rob: select_switching_weight(pm, mv, rob)
+    per_kind = estimator_coefficients(
+        dataset, ladder, kinds, demand, lambda mv, rob: select_switching_weight(pm, mv, rob)
     )
-    for kind, (losses, weight) in per_kind.items():
+    for kind, (coef, weight) in per_kind.items():
+        losses = np.sum(pm * coef, axis=1)
         entry = {
             "estimated_loss": float(losses.mean()),
             "estimated_reward": float(-losses.mean()),

@@ -237,9 +237,9 @@ def validate(dataset: Dataset, floor: float = PROPENSITY_FLOOR) -> ValidationRep
 
 # ---------------------------------------------------------------------------
 # CSV schema: x_0,...,x_{d-1},price_index,sold[,valuation_index][,pi_1..pi_m]
-# Numbers are ASCII numerals without '_' (surrounding whitespace allowed);
-# sold is 0/1/true/false in any case; a field may be quoted with '"'. Columns
-# the schema does not use are ignored.
+# Numbers are ASCII numerals without '_' (surrounding whitespace allowed), and
+# features must be finite; sold is 0/1/true/false in any case; a field may be
+# quoted with '"'. Columns the schema does not use are ignored.
 # The reader parses the whole file in one np.loadtxt pass with one structured
 # field per header column, so every row must have the header's width; its line
 # source rejects the blank lines loadtxt would skip. Range and propensity-row
@@ -292,6 +292,13 @@ def _check_range(values, name, lo, hi):
     bad = np.flatnonzero((values < lo) | (values > hi))
     if bad.size:
         _fail(bad[0], name, f"value {values[bad[0]]} outside {lo}..{hi}")
+
+
+def _finite(values, name):
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        _fail(bad[0], name, f"not a finite number: {float(values[bad[0]])}")
+    return values
 
 
 def _numeral(cell: str) -> str:
@@ -379,7 +386,7 @@ class _Layout:
     def dataset(self, column) -> Dataset:
         """The dataset from ``column(name)``, each column's values as an array,
         checking ranges and propensity rows in schema order."""
-        X = np.column_stack([column(f"x_{j}") for j in range(self.d)])
+        X = np.column_stack([_finite(column(f"x_{j}"), f"x_{j}") for j in range(self.d)])
         price = np.ascontiguousarray(column("price_index"))
         _check_range(price, "price_index", 1, self.m)
         sold = np.ascontiguousarray(column("sold"))
@@ -427,11 +434,15 @@ def _name_first_error(f, layout: _Layout) -> None:
     naming the first bad row or cell in schema order; return if there is none."""
     reader = csv.reader(f)
     next(reader)
-    rows = list(reader)
     width = len(layout.header)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise SchemaError(f"row {i + 2}: expected {width} fields, got {len(row)}")
+    rows = []
+    try:
+        for row in reader:
+            if len(row) != width:
+                raise SchemaError(f"row {len(rows) + 2}: expected {width} fields, got {len(row)}")
+            rows.append(row)
+    except csv.Error as exc:
+        raise SchemaError(f"row {len(rows) + 2}: {exc}") from None
     layout.dataset(lambda name: _walked_column(rows, name, layout.cols[name]))
 
 
@@ -455,6 +466,8 @@ def read_csv(path_or_buf, constant_propensities=None) -> Dataset:
             header = next(csv.reader(f))
         except StopIteration:
             raise SchemaError("empty file") from None
+        except csv.Error as exc:
+            raise SchemaError(f"row 1: {exc}") from None
         layout = _Layout.of(header, constant_propensities)
         first = next(f, None)
         if first is None:

@@ -1,4 +1,5 @@
-"""Valuation-space and corrupted-label losses, plus dataset-level estimation.
+"""Valuation-space and corrupted-label losses, and the dataset-level
+coefficient engine that evaluation and learning share.
 
 Sign convention: losses are negative revenue, so estimators minimize and the
 reported policy value (reward) is the negated mean loss.
@@ -9,15 +10,15 @@ policy collects from a customer whose valuation is p_j:
 
     lv[j] = - sum_{k <= j} pi(p_k | x) (p_k - C)
 
-Every corrupted loss is linear in the policy probabilities, which the
-dataset-level engine exploits: for each record it produces one coefficient
-per rung such that
+Every corrupted loss is linear in the policy probabilities: for each record
+the engine produces one coefficient per rung such that
 
     corrupted loss of record i  =  sum_j pi(p_j | x_i) * coef[i, j]
 
-with the coefficients independent of the policy. That one matrix serves both
-evaluation (dot with the policy) and optimization (gradients through the
-policy only).
+with the coefficients independent of the policy. One coefficient matrix per
+dataset and kind serves both uses: evaluating a policy (the row-wise dot
+product with its rung probabilities) and learning one (``policy`` trains on
+the matrix, with gradients through the policy only).
 
 Every estimator kind has the doubly robust form: a per-rung reward plug-in
 mu (the direct method) plus the inverse-propensity correction of its
@@ -39,9 +40,12 @@ probabilities and c the switching weight:
 The coefficients are affine in mu, so cmix is built as the c-weighted mix
 c * coef_mv + (1 - c) * coef_robust of the mv and robust coefficient matrices
 (``mix_coefficients``), which equals the formula at its mu.
-``estimator_losses`` evaluates several kinds on one dataset and builds each
-coefficient matrix once: cmix and the choice of c reuse the mv and robust
-matrices that the mv and robust estimates use.
+
+``estimator_coefficients`` is the one place that decides which matrices a
+set of kinds needs: it builds each matrix once, and forms cmix from the mv
+and robust matrices at the weight its caller chooses from those same
+matrices (by variance for evaluation, by cross-validated training for
+learning).
 
 The demand plug-in is any object with ``sale_probs_matrix(features)``. Each
 build calls it once at the records' features; its output must be (n, m)
@@ -180,29 +184,21 @@ def mix_coefficients(coef_mv: np.ndarray, coef_rob: np.ndarray, weight: float) -
     return weight * coef_mv + (1.0 - weight) * coef_rob
 
 
-def _checked_policy_matrix(dataset: Dataset, policy_matrix: np.ndarray) -> np.ndarray:
-    pm = np.atleast_2d(np.asarray(policy_matrix, dtype=np.float64))
-    if pm.shape != (dataset.n, dataset.m):
-        raise ValueError(f"policy matrix must be (n, m) = {(dataset.n, dataset.m)}")
-    return pm
-
-
-def estimator_losses(
+def estimator_coefficients(
     dataset: Dataset,
-    policy_matrix: np.ndarray,
     ladder: PriceLadder,
     kinds,
     demand,
     choose_weight,
 ) -> dict[EstimatorKind, tuple[np.ndarray, float | None]]:
-    """Per-record corrupted losses of each kind in ``kinds``, with cmix's weight.
+    """The (n, m) loss coefficients of each kind in ``kinds``, with cmix's weight.
 
-    Each coefficient matrix is built once. For cmix,
+    Each coefficient matrix is built once, and cmix's weight is chosen once
+    even when ``kinds`` names cmix twice. For cmix,
     ``choose_weight(coef_mv, coef_rob)`` picks the switching weight from the
-    mv and robust matrices, and the weight is returned beside its losses
-    (``None`` for the other kinds).
+    mv and robust matrices, and the weight is returned beside the mixed
+    coefficients (``None`` for the other kinds).
     """
-    pm = _checked_policy_matrix(dataset, policy_matrix)
     built: dict[EstimatorKind, np.ndarray] = {}
 
     def coefficients(kind):
@@ -211,7 +207,7 @@ def estimator_losses(
         return built[kind]
 
     out = {}
-    for kind in kinds:
+    for kind in dict.fromkeys(kinds):
         weight = None
         if kind == EstimatorKind.SWITCHING:
             mv = coefficients(EstimatorKind.MIN_VARIANCE)
@@ -220,7 +216,7 @@ def estimator_losses(
             coef = mix_coefficients(mv, rob, weight)
         else:
             coef = coefficients(kind)
-        out[kind] = (np.sum(pm * coef, axis=1), weight)
+        out[kind] = (coef, weight)
     return out
 
 
@@ -233,24 +229,11 @@ def per_record_losses(
     switching_weight: float | None = None,
 ) -> np.ndarray:
     """Corrupted loss of every record under the given policy probabilities."""
-    pm = _checked_policy_matrix(dataset, policy_matrix)
+    pm = np.atleast_2d(np.asarray(policy_matrix, dtype=np.float64))
+    if pm.shape != (dataset.n, dataset.m):
+        raise ValueError(f"policy matrix must be (n, m) = {(dataset.n, dataset.m)}")
     coef = loss_coefficients(dataset, ladder, kind, demand, switching_weight)
     return np.sum(pm * coef, axis=1)
-
-
-def estimate_policy_value(
-    dataset: Dataset,
-    policy_matrix: np.ndarray,
-    ladder: PriceLadder,
-    kind: EstimatorKind,
-    demand=None,
-    switching_weight: float | None = None,
-) -> float:
-    """Mean corrupted loss of the dataset under the policy (negative revenue)."""
-    losses = per_record_losses(
-        dataset, policy_matrix, ladder, kind, demand, switching_weight
-    )
-    return float(losses.mean())
 
 
 def per_record_losses_reference(

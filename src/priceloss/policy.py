@@ -2,11 +2,13 @@
 
 The corrupted losses are linear in the policy's rung probabilities, so the
 objective for a dataset reduces to ``mean_i <softmax(theta [x_i; 1]), coef_i>``
-with the coefficient rows supplied by the losses engine. Gradients therefore
-flow only through the softmax. Pushing the softmax toward a vertex keeps
-lowering that objective, so training adds an L2 penalty ``ERM_L2 / 2 *
-|theta|^2`` on every weight, bias included; the penalized problem has finite
-stationary points, and a trained policy is one of them.
+over an (n, m) coefficient matrix that the trainer and both switching-weight
+selectors take as given (``losses.estimator_coefficients`` decides which
+matrices a dataset needs). Gradients therefore flow only through the softmax.
+Pushing the softmax toward a vertex keeps lowering that objective, so
+training adds an L2 penalty ``ERM_L2 / 2 * |theta|^2`` on every weight, bias
+included; the penalized problem has finite stationary points, and a trained
+policy is one of them.
 
 One damped-Newton (Levenberg-Marquardt) trainer, ``_damped_newton_descent``,
 solves K such problems at once over shared features: theta is
@@ -28,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demand import fit_tlearner
-from .estimators import EstimatorKind
 from .ladder import Dataset, PolicyDist, PriceLadder
-from .losses import loss_coefficients
 
 
 def _softmax_in_place(scores: np.ndarray) -> np.ndarray:
@@ -60,8 +60,8 @@ class LinearSoftmaxPolicy:
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
-        if self.theta.shape[0] != self.ladder.m:
-            raise ValueError("theta must have one row per ladder rung")
+        if self.theta.ndim != 2 or self.theta.shape[0] != self.ladder.m:
+            raise ValueError("theta must be a matrix with one row per ladder rung")
 
     def probs_matrix(self, features: np.ndarray) -> np.ndarray:
         return softmax_rows(with_bias(features) @ self.theta.T)
@@ -303,25 +303,11 @@ def _finite_loss(objective: _StackedErm, theta: np.ndarray, step: int) -> np.nda
     return loss
 
 
-def optimize_policy(
-    dataset: Dataset,
-    ladder: PriceLadder,
-    kind: EstimatorKind,
-    demand=None,
-    switching_weight: float | None = None,
-    coef: np.ndarray | None = None,
-) -> TrainResult:
+def optimize_policy(features: np.ndarray, ladder: PriceLadder, coef: np.ndarray) -> TrainResult:
     """Minimize the L2-penalized empirical corrupted loss over linear-softmax
-    policies.
-
-    ``coef`` may be supplied to skip recomputing the loss coefficients (they
-    do not depend on the policy being trained).
-    """
-    if coef is None:
-        coef = loss_coefficients(dataset, ladder, kind, demand, switching_weight)
-    theta, history, steps, grad_max = _damped_newton_descent(
-        with_bias(dataset.features), coef.T[None]
-    )
+    policies, for the records with these (n, d) ``features`` and (n, m) loss
+    coefficients ``coef``."""
+    theta, history, steps, grad_max = _damped_newton_descent(with_bias(features), coef.T[None])
     return TrainResult(
         policy=LinearSoftmaxPolicy(theta=theta[0], ladder=ladder),
         loss_history=history[0, : steps[0] + 1],
@@ -343,6 +329,13 @@ def _fold_slices(n: int, folds: int) -> list[np.ndarray]:
     return [idx[f::folds] for f in range(folds)]
 
 
+def _checked_grid(grid) -> list[float]:
+    grid = [float(c) for c in grid]
+    if not grid or any(not 0.0 <= c <= 1.0 for c in grid):
+        raise ValueError("grid must be nonempty within [0, 1]")
+    return grid
+
+
 def select_switching_weight(
     policy_matrix: np.ndarray,
     coef_mv: np.ndarray,
@@ -357,9 +350,7 @@ def select_switching_weight(
     computed once; the candidate's loss is their convex mix, and its
     empirical variance is averaged over held-out folds.
     """
-    grid = [float(c) for c in grid]
-    if not grid or any(not 0.0 <= c <= 1.0 for c in grid):
-        raise ValueError("grid must be nonempty within [0, 1]")
+    grid = _checked_grid(grid)
     pm = np.atleast_2d(policy_matrix)
     loss_mv = np.sum(pm * coef_mv, axis=1)
     loss_rob = np.sum(pm * coef_rob, axis=1)
@@ -376,34 +367,32 @@ def select_switching_weight(
 
 
 def select_switching_weight_for_training(
-    dataset: Dataset,
-    ladder: PriceLadder,
-    demand,
+    features: np.ndarray,
+    coef_mv: np.ndarray,
+    coef_rob: np.ndarray,
     grid=DEFAULT_WEIGHT_GRID,
     folds: int = CV_FOLDS,
 ) -> float:
     """Optimization-mode choice: weight whose trained policy cross-validates best.
 
-    For each candidate weight, train on the complement of each fold and score
-    the held-out estimated loss (without the training penalty) with the same
-    switching estimator; pick the weight with the lowest average held-out
-    loss. The candidates' coefficients are built once, and each fold trains
-    all of them in one stacked descent.
+    ``coef_mv`` and ``coef_rob`` are the mv and robust loss coefficients of
+    the records with these ``features``. For each candidate weight, train on
+    the complement of each fold and score the held-out estimated loss
+    (without the training penalty) with the same switching estimator; pick
+    the weight with the lowest average held-out loss. Each fold trains all
+    the candidates in one stacked descent.
     """
-    grid = [float(c) for c in grid]
-    if not grid or any(not 0.0 <= c <= 1.0 for c in grid):
-        raise ValueError("grid must be nonempty within [0, 1]")
+    grid = _checked_grid(grid)
     if len(grid) == 1:
         return grid[0]
-    coef_mv = loss_coefficients(dataset, ladder, EstimatorKind.MIN_VARIANCE, demand)
-    coef_rob = loss_coefficients(dataset, ladder, EstimatorKind.ROBUST)
     coef_t = np.stack([c * coef_mv.T + (1.0 - c) * coef_rob.T for c in grid])
-    Xb = with_bias(dataset.features)
+    Xb = with_bias(features)
+    n = Xb.shape[0]
     held_out = np.zeros(len(grid))
-    for s in _fold_slices(dataset.n, min(folds, dataset.n)):
-        if s.size == 0 or s.size == dataset.n:
+    for s in _fold_slices(n, min(folds, n)):
+        if s.size == 0 or s.size == n:
             continue
-        train = np.ones(dataset.n, dtype=bool)
+        train = np.ones(n, dtype=bool)
         train[s] = False
         theta, _, _, _ = _damped_newton_descent(Xb[train], coef_t[:, :, train])
         probs = softmax_rows(theta @ Xb[s].T)

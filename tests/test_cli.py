@@ -110,6 +110,22 @@ def test_eval_csv_builds_each_coefficient_matrix_once(tmp_path, monkeypatch):
     assert calls == [(300, 10)]
 
 
+def test_learn_replication_builds_each_coefficient_matrix_once(monkeypatch):
+    # the cmix weight's cross-validation, the cmix training and the mv
+    # training share one mv matrix, so the fitted plug-in runs once
+    calls = []
+    original = FittedDemandModel.sale_probs_matrix
+
+    def counted(self, features):
+        calls.append(features.shape)
+        return original(self, features)
+
+    monkeypatch.setattr(FittedDemandModel, "sale_probs_matrix", counted)
+    cfg = bench.BenchConfig(n_grid=(60,), reps=1, seed=3)
+    assert set(bench.learn_replication(cfg, 60, None, 0)) == {"ips", "mv", "robust", "cmix"}
+    assert calls == [(60, 10)]
+
+
 def test_eval_csv_on_policy_ips_identity(tmp_path):
     # constant logging propensities; evaluating that same constant policy with
     # IPS returns exactly the empirical mean revenue
@@ -302,15 +318,39 @@ _LADDER = {"prices": [1, 2, 3, 4, 5], "unit_cost": 0.0}
 
 
 @pytest.mark.parametrize(
-    "extra, policy_doc, named",
+    "dataset, extra, policy_doc, named",
     [
-        (["--propensities", "0.2,x,0.2,0.2,0.2"], None, "'x'"),
-        (["--propensities", "0.5,0.5,0.5,0.5,0.5"], None, "sum to 2.5"),
-        (["--ladder", "1,2,zz"], None, "'zz'"),
-        (["--ladder", "5,4,3,2,1"], None, "'5,4,3,2,1'"),
-        ([], {"type": "constant", "ladder": _LADDER}, "'probs'"),
-        ([], {"type": "linear_softmax", "theta": [[0.0] * 11] * 4, "ladder": _LADDER}, "theta"),
-        ([], [1, 2], "policy.json holds a JSON list"),
+        ("d.csv", ["--propensities", "0.2,x,0.2,0.2,0.2"], None, "'x'"),
+        ("d.csv", ["--propensities", "0.5,0.5,0.5,0.5,0.5"], None, "sum to 2.5"),
+        ("d.csv", ["--ladder", "1,2,zz"], None, "'zz'"),
+        ("d.csv", ["--ladder", "5,4,3,2,1"], None, "'5,4,3,2,1'"),
+        ("d.csv", [], {"type": "constant", "ladder": _LADDER}, "'probs'"),
+        (
+            "d.csv",
+            [],
+            {"type": "linear_softmax", "theta": [[0.0] * 11] * 4, "ladder": _LADDER},
+            "theta",
+        ),
+        ("d.csv", [], [1, 2], "policy.json holds a JSON list"),
+        (
+            "d.csv",
+            ["--ladder", "1,2,3,4,5"],
+            {"type": "constant", "probs": [0.2, 0.3, 0.5]},
+            "policy has 3 rungs but the ladder has 5",
+        ),
+        (
+            "d.csv",
+            [],
+            {"type": "linear_softmax", "theta": [[0.0] * 7] * 5, "ladder": _LADDER},
+            "policy theta has 7 columns but 10 features need 11",
+        ),
+        (
+            "d.csv",
+            [],
+            {"type": "linear_softmax", "theta": [0.0] * 5, "ladder": _LADDER},
+            "theta must be a matrix",
+        ),
+        ("missing.csv", [], None, "cannot read dataset"),
     ],
     ids=[
         "propensity-not-a-number",
@@ -320,10 +360,14 @@ _LADDER = {"prices": [1, 2, 3, 4, 5], "unit_cost": 0.0}
         "constant-policy-without-probs",
         "theta-row-count",
         "policy-not-an-object",
+        "policy-rungs-differ-from-ladder",
+        "theta-column-count",
+        "theta-not-a-matrix",
+        "dataset-missing",
     ],
 )
 def test_eval_csv_input_errors_exit_two_and_name_the_value(
-    tmp_path, capsys, extra, policy_doc, named
+    tmp_path, capsys, dataset, extra, policy_doc, named
 ):
     data = tmp_path / "d.csv"
     assert main(["gen", "--n", "20", "--seed", "1", "--out", str(data)]) == 0
@@ -332,7 +376,7 @@ def test_eval_csv_input_errors_exit_two_and_name_the_value(
     else:
         policy = _policy_file(tmp_path, policy_doc)
     capsys.readouterr()
-    assert main(["eval-csv", str(data), "--policy", policy] + extra) == 2
+    assert main(["eval-csv", str(tmp_path / dataset), "--policy", policy] + extra) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
 

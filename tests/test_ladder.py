@@ -185,6 +185,21 @@ _BAD_CELLS = {
         _csv("0.1,0.2,\u0661,1,2,0.5,0.5"),
         "row 2, column 'price_index': not an integer: '\u0661'",
     ),
+    "x-nan": (_csv("0.1,nan,1,1,2,0.5,0.5"), "row 2, column 'x_1': not a finite number: nan"),
+    "x-inf": (
+        _csv(_GOOD, "-inf,0.2,1,1,2,0.5,0.5"),
+        "row 3, column 'x_0': not a finite number: -inf",
+    ),
+    "x-numeral-too-large-for-float": (
+        _csv("1" + "0" * 400 + ",0.2,1,1,2,0.5,0.5"),
+        "row 2, column 'x_0': not a finite number: inf",
+    ),
+    # 'half' fails the loadtxt pass, so the naming walk reports the nan,
+    # which comes first in schema order, with the pass's message.
+    "x-nan-named-by-the-walk": (
+        _csv("0.1,nan,1,1,2,0.5,0.5", "0.1,0.2,1,1,2,0.5,half"),
+        "row 2, column 'x_1': not a finite number: nan",
+    ),
     "header-only": (_csv(), "dataset has a header but no rows"),
     "empty-file": ("", "empty file"),
     "pi-sum-in-row-20002": (
@@ -203,6 +218,32 @@ def test_read_csv_names_the_bad_cell(text, message):
     with pytest.raises(lad.SchemaError) as exc:
         lad.read_csv(io.StringIO(text))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a buffer that splits lines only on "\n", with rows ending in a bare "\r"
+        (
+            "x_0,price_index,sold,pi_1\r0.1,1,1,1\r",
+            "row 1: new-line character seen in unquoted field",
+        ),
+        (
+            "x_0," + "h" * 140_000 + ",price_index,sold,pi_1\n0.1,0,1,1,1\n",
+            "row 1: field larger than field limit",
+        ),
+        (
+            _csv(_GOOD, "0.1," + "a" * 140_000 + ",1,1,2,0.5,0.5"),
+            "row 3: field larger than field limit",
+        ),
+    ],
+    ids=["cr-inside-an-unsplit-line", "header-field-beyond-csv-limit", "row-field-beyond-csv-limit"],
+)
+def test_read_csv_names_the_row_csv_cannot_parse(text, message):
+    # the rest of the message is csv's own, and its wording varies by Python version
+    with pytest.raises(lad.SchemaError) as exc:
+        lad.read_csv(io.StringIO(text))
+    assert str(exc.value).startswith(message)
 
 
 def test_read_csv_accepts_spaced_and_worded_sold_values():

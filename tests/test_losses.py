@@ -20,7 +20,6 @@ from priceloss.ladder import (
 from priceloss.losses import (
     conditional_variance,
     corrupted_loss_vector,
-    estimate_policy_value,
     loss_coefficients,
     per_record_losses,
     per_record_losses_reference,
@@ -205,14 +204,14 @@ def test_estimate_zero_margin_ladder_gives_zero():
         flat = PriceLadder(prices, unit_cost=2.0)
     pm = np.full((ds.n, 5), 0.2)
     for kind in (EstimatorKind.IPS, EstimatorKind.CIPS, EstimatorKind.ROBUST):
-        val = estimate_policy_value(ds, pm, flat, kind)
+        val = per_record_losses(ds, pm, flat, kind).mean()
         assert abs(val) < 1e-6
 
 
 def test_on_policy_ips_reduces_to_mean_revenue():
     ds, ladder = _synthetic_dataset(n=300, seed=4)
     pm = ds.propensities.copy()  # evaluate the logging policy itself
-    value = estimate_policy_value(ds, pm, ladder, EstimatorKind.IPS)
+    value = per_record_losses(ds, pm, ladder, EstimatorKind.IPS).mean()
     revenue = np.where(ds.sold, ladder.prices[ds.price_index - 1], 0.0).mean()
     assert abs(value + revenue) < 1e-12
 
@@ -240,12 +239,12 @@ def test_missing_demand_model_raises():
     ds, ladder = _synthetic_dataset(n=20, seed=7)
     pm = np.full((ds.n, 5), 0.2)
     with pytest.raises(ValueError, match="demand"):
-        estimate_policy_value(ds, pm, ladder, EstimatorKind.MIN_VARIANCE)
+        per_record_losses(ds, pm, ladder, EstimatorKind.MIN_VARIANCE).mean()
     with pytest.raises(ValueError, match="weight"):
-        estimate_policy_value(
+        per_record_losses(
             ds, pm, ladder, EstimatorKind.SWITCHING,
             demand=_FixedDemand(np.full((ds.n, 5), 0.5)),
-        )
+        ).mean()
 
 
 def test_raw_demand_matrix_is_clamped_and_checked():

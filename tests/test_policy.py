@@ -112,6 +112,11 @@ def test_hessian_matches_finite_differences_of_the_gradient():
         assert np.max(np.abs(hess - fd)) < 1e-8
 
 
+def _fit(ds, kind=EstimatorKind.ROBUST, ladder=LADDER):
+    """The policy trained on the dataset's ``kind`` coefficients."""
+    return optimize_policy(ds.features, ladder, loss_coefficients(ds, ladder, kind))
+
+
 def test_dominant_arm_is_learned():
     # identical customers, one price strictly dominant in realized reward
     rng = np.random.default_rng(2)
@@ -124,14 +129,14 @@ def test_dominant_arm_is_learned():
     valuation = np.full(n, 2)
     sold = price <= valuation
     ds = Dataset(features=x, price_index=price, sold=sold, propensities=pis, valuations=valuation)
-    result = optimize_policy(ds, ladder, EstimatorKind.IPS)
+    result = _fit(ds, EstimatorKind.IPS, ladder)
     probs = result.policy.probs_matrix(np.zeros((1, 1)))[0]
     assert probs[1] >= 0.95
 
 
 def test_training_loss_trajectory_descends():
     ds = _dataset(n=300, seed=3)
-    result = optimize_policy(ds, LADDER, EstimatorKind.ROBUST)
+    result = _fit(ds)
     hist = result.loss_history
     assert hist[-1] < hist[0]
     assert np.all(np.diff(hist) <= 0)
@@ -141,16 +146,8 @@ def test_training_loss_trajectory_descends():
 
 def test_training_is_deterministic():
     ds = _dataset(n=100, seed=4)
-    a = optimize_policy(ds, LADDER, EstimatorKind.ROBUST)
-    b = optimize_policy(ds, LADDER, EstimatorKind.ROBUST)
-    assert np.array_equal(a.policy.theta, b.policy.theta)
-
-
-def test_precomputed_coefficients_match():
-    ds = _dataset(n=80, seed=5)
-    coef = loss_coefficients(ds, LADDER, EstimatorKind.ROBUST)
-    a = optimize_policy(ds, LADDER, EstimatorKind.ROBUST)
-    b = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, coef=coef)
+    a = _fit(ds)
+    b = _fit(ds)
     assert np.array_equal(a.policy.theta, b.policy.theta)
 
 
@@ -191,7 +188,7 @@ def test_target_policy_from_training_split():
 
 
 def _mv_and_robust(ds, model):
-    """The mv and robust coefficients that ``select_switching_weight`` mixes."""
+    """The mv and robust coefficients that the switching-weight selectors mix."""
     return (
         loss_coefficients(ds, LADDER, EstimatorKind.MIN_VARIANCE, model),
         loss_coefficients(ds, LADDER, EstimatorKind.ROBUST),
@@ -204,7 +201,8 @@ def test_select_weight_singleton_grid():
     pm = np.full((ds.n, 5), 0.2)
     assert select_switching_weight(pm, *_mv_and_robust(ds, model), grid=[0.5]) == 0.5
     assert (
-        select_switching_weight_for_training(ds, LADDER, model, grid=[0.5]) == 0.5
+        select_switching_weight_for_training(ds.features, *_mv_and_robust(ds, model), grid=[0.5])
+        == 0.5
     )
 
 
@@ -259,21 +257,18 @@ def test_non_finite_loss_raises():
     ds = _dataset(n=20, seed=12)
     coef = np.full((20, 5), np.inf)
     with pytest.raises(ArithmeticError, match="non-finite"):
-        optimize_policy(ds, LADDER, EstimatorKind.ROBUST, coef=coef)
+        optimize_policy(ds.features, LADDER, coef)
 
 
 def _cv_choice_one_fit_at_a_time(ds, demand, grid, folds):
-    coef_mv = loss_coefficients(ds, LADDER, EstimatorKind.MIN_VARIANCE, demand)
-    coef_rob = loss_coefficients(ds, LADDER, EstimatorKind.ROBUST)
+    coef_mv, coef_rob = _mv_and_robust(ds, demand)
     held_out = []
     for c in grid:
         coef = c * coef_mv + (1.0 - c) * coef_rob
         total = 0.0
         for s in _fold_slices(ds.n, folds):
             train = np.setdiff1d(np.arange(ds.n), s)
-            result = optimize_policy(
-                ds.subset(train), LADDER, EstimatorKind.SWITCHING, coef=coef[train]
-            )
+            result = optimize_policy(ds.features[train], LADDER, coef[train])
             total += float(np.sum(result.policy.probs_matrix(ds.features[s]) * coef[s]) / s.size)
         held_out.append(total)
     return grid[int(np.argmin(held_out))]
@@ -285,7 +280,9 @@ def test_stacked_cross_validation_matches_one_fit_at_a_time(seed):
     demand = fit_tlearner(_dataset(n=100, seed=seed + 100), LADDER)
     grid = tuple(np.linspace(0.0, 1.0, 5))
     expected = _cv_choice_one_fit_at_a_time(ds, demand, grid, 4)
-    chosen = select_switching_weight_for_training(ds, LADDER, demand, grid=grid, folds=4)
+    chosen = select_switching_weight_for_training(
+        ds.features, *_mv_and_robust(ds, demand), grid=grid, folds=4
+    )
     assert chosen == expected
 
 
@@ -302,7 +299,7 @@ def test_stacked_descent_matches_each_problem_alone():
     assert theta.shape == (3, 5, ds.features.shape[1] + 1)
     assert history.shape == (3, steps.max() + 1)
     for k, coef in enumerate(coefs):
-        alone = optimize_policy(ds, LADDER, EstimatorKind.ROBUST, coef=coef)
+        alone = optimize_policy(ds.features, LADDER, coef)
         assert steps[k] == alone.steps
         assert np.max(np.abs(theta[k] - alone.policy.theta)) < 1e-12
         assert np.max(np.abs(history[k, : steps[k] + 1] - alone.loss_history)) < 1e-12
@@ -312,7 +309,7 @@ def test_stacked_descent_matches_each_problem_alone():
 def test_descent_raises_at_the_step_cap(monkeypatch):
     monkeypatch.setattr(policy, "MAX_DESCENT_STEPS", 1)
     with pytest.raises(TrainingDiverged, match="did not converge in 1 steps"):
-        optimize_policy(_dataset(n=60, seed=24), LADDER, EstimatorKind.ROBUST)
+        _fit(_dataset(n=60, seed=24))
 
 
 def test_descent_converges_across_surfaces_shifts_and_sizes():

@@ -8,7 +8,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from priceloss import bench, cli, demand, ladder, policy
+from priceloss import bench, cli, demand, ladder, losses, policy
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,6 +30,9 @@ def _sites():
         ladder.write_csv,
         cli.select_switching_weight,
         bench.select_switching_weight,
+        bench.optimize_policy,
+        bench.select_switching_weight_for_training,
+        losses.loss_coefficients,
     )
 
 
