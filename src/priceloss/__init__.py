@@ -14,7 +14,7 @@ from .ladder import (
     validate,
     write_csv,
 )
-from .transfer import TransferMatrix, build_transfer, push_forward
+from .transfer import TransferMatrix, build_transfer
 from .estimators import (
     EstimatorKind,
     ReweightMatrix,
@@ -27,7 +27,6 @@ from .estimators import (
     switching_reweight,
 )
 from .losses import (
-    conditional_variance,
     corrupted_loss_vector,
     per_record_losses,
     valuation_loss_vector,

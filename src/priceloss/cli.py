@@ -57,7 +57,7 @@ def _load_policy(path: str):
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read policy file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"policy file {path} holds a JSON {type(doc).__name__}, not an object")
@@ -143,7 +143,7 @@ def cmd_eval_csv(args) -> int:
             raise InputError(f"bad --propensities {args.propensities!r}: {exc}") from exc
     try:
         dataset = read_csv(args.dataset, constant_propensities=const)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read dataset {args.dataset}: {exc}") from exc
     except SchemaError as exc:
         raise InputError(f"schema violation: {exc}") from exc

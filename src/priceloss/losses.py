@@ -68,8 +68,6 @@ from .estimators import (
 )
 from .ladder import Dataset, OutcomeDist, PolicyDist, PriceLadder, Propensities
 
-VARIANCE_GUARD = -1e-8
-
 
 def valuation_loss_vector(policy: PolicyDist, ladder: PriceLadder) -> np.ndarray:
     """Length-(m+1) loss vector for one policy decision; entry 0 is 0."""
@@ -88,19 +86,6 @@ def corrupted_loss_vector(reweight: ReweightMatrix, loss_vec: np.ndarray) -> np.
             f"loss vector has length {lv.shape}, expected {reweight.mat.shape[0]}"
         )
     return reweight.mat.T @ lv
-
-
-def conditional_variance(
-    reweight: ReweightMatrix, loss_vec: np.ndarray, outcome_dist: OutcomeDist
-) -> float:
-    """Variance of the corrupted loss for one customer under ``outcome_dist``."""
-    c = corrupted_loss_vector(reweight, loss_vec)
-    f = outcome_dist.probs
-    mean = float(f @ c)
-    var = float(f @ (c * c)) - mean * mean
-    if var < VARIANCE_GUARD:
-        raise ArithmeticError(f"conditional variance came out negative: {var}")
-    return max(var, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,15 @@ solves K such problems at once over shared features: theta is
 (K, m, d + 1) and the coefficients are stored rung-major as (K, m, n), so
 scores ``theta @ Xb.T`` are (K, m, n) and the softmax and ``<p, coef>``
 reduce over the m rungs with whole rows of records as vectors. Each step
-builds every problem's m(d + 1)-square Hessian with one matrix product and
-solves all the damped Newton systems with one batched solve; each problem
-stops on its own gradient tolerance. ``optimize_policy`` is the K = 1 call;
-switching-weight cross-validation trains every candidate weight of a fold
-in one call.
+evaluates the loss of the problems still descending only, builds the
+m(d + 1)-square Hessians of those whose step was kept, and solves all the
+damped Newton systems with one batched solve; each problem stops on its own
+gradient tolerance. A Hessian is ``sum_i S_i kron x_i x_i^T`` with both
+factors symmetric, so it is built from its unique entries: the m(m + 1)/2
+rung pairs of ``S_i`` times the (d + 1)(d + 2)/2 feature pairs of
+``x_i x_i^T`` in one matrix product, spread over the full matrix with one
+precomputed ``take``. ``optimize_policy`` is the K = 1 call; switching-weight
+cross-validation trains every candidate weight of a fold in one call.
 """
 
 from __future__ import annotations
@@ -164,33 +168,60 @@ class _StackedErm:
     """Penalized mean corrupted loss of K ERM problems over shared features.
 
     ``coef_t`` holds each problem's coefficients rung-major, (K, m, n), for
-    the n rows of ``features_bias``. Calling the objective at theta
-    (K, m, d + 1) returns the K losses and keeps what ``derivatives`` needs
-    for the gradient and Hessian at that theta. The work arrays are made once
-    and reused by every call: allocating them afresh at each step costs more
-    in page faults than the arithmetic they hold.
+    the n rows of ``features_bias``. Calling the objective at the theta
+    (R, m, d + 1) of the problems ``rows`` returns their R losses, and keeps
+    in slot s of the work arrays what ``derivatives`` needs for the gradient
+    and Hessian of problem ``rows[s]``. The descent calls it with the problems
+    still descending only, so a converged problem costs nothing.
+
+    Each problem's data Hessian is ``sum_i S_i kron x_i x_i^T``, where
+    ``S_i = diag(g_i) - p_i g_i^T - g_i p_i^T`` is record i's score Hessian
+    (g_i the score gradient). Both factors are symmetric, so ``derivatives``
+    forms ``S_i`` for the m(m + 1)/2 rung pairs j <= l, multiplies those
+    weights against the (d + 1)(d + 2)/2 entries of ``x_i x_i^T`` on and above
+    its diagonal in one matrix product, and spreads the result over the full
+    m(d + 1)-square Hessian with one precomputed ``take``; the Hessian is
+    exactly symmetric. The work arrays are made once and reused by every
+    call: allocating them afresh at each step costs more in page faults than
+    the arithmetic they hold.
     """
 
     def __init__(self, features_bias: np.ndarray, coef_t: np.ndarray):
         n, width = features_bias.shape
         self.features_bias = features_bias
         self.features_t = np.ascontiguousarray(features_bias.T)
-        # x_i x_i^T of every record, flattened: (n, (d + 1)^2).
-        self.outer = (features_bias[:, :, None] * features_bias[:, None, :]).reshape(n, -1)
         self.coef_t = np.ascontiguousarray(coef_t, dtype=np.float64)
         k, m, _ = self.coef_t.shape
+        # x_i x_i^T of every record, on and above the diagonal: (n, Q).
+        first, second, feature_pairs = _upper_triangle(width)
+        self.outer = features_bias[:, first] * features_bias[:, second]
+        # Hessian entry ((j, a), (l, b)) is entry (pair (j, l), pair (a, b))
+        # of the rung-pair weights' product with ``outer``.
+        _, _, rung_pairs = _upper_triangle(m)
+        self.hess_index = (
+            rung_pairs[:, None, :, None] * first.size + feature_pairs[None, :, None, :]
+        ).reshape(-1)
         self.probs = np.empty(self.coef_t.shape)
         self.score_grad = np.empty(self.coef_t.shape)
-        self.hess_weights = np.empty((k, m, m, n))
+        # Flat, so that the first S problems' (m, S, n) view is contiguous.
+        self.rung_major = np.empty((3, k * m * n))
+        self.hess_weights = np.empty(m * (m + 1) // 2 * k * n)
 
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
-        """Penalized loss (K,) at theta (K, m, d + 1)."""
-        k, m, n = self.coef_t.shape
-        probs, score_grad = self.probs, self.score_grad
-        np.matmul(theta.reshape(k * m, -1), self.features_t, out=probs.reshape(k * m, n))
+    def __call__(self, theta: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Penalized losses (R,) of the problems ``rows`` (all K when None) at
+        their theta (R, m, d + 1)."""
+        if rows is None:
+            rows = np.arange(self.coef_t.shape[0])
+        r, m, _ = theta.shape
+        n = self.features_t.shape[1]
+        probs, score_grad = self.probs[:r], self.score_grad[:r]
+        np.matmul(theta.reshape(r * m, -1), self.features_t, out=probs.reshape(r * m, n))
         _softmax_in_place(probs)
-        np.multiply(probs, self.coef_t, out=score_grad)
-        per_record = score_grad.sum(axis=1, keepdims=True)  # (K, 1, n)
+        # The indices are valid, and "clip" spares the copy of ``out`` that
+        # numpy makes under the default "raise".
+        np.take(self.coef_t, rows, axis=0, out=score_grad, mode="clip")
+        score_grad *= probs
+        per_record = score_grad.sum(axis=1, keepdims=True)  # (R, 1, n)
         loss = per_record.mean(axis=2)[:, 0]
         loss += 0.5 * ERM_L2 * np.einsum("kjd,kjd->k", theta, theta)
         if np.all(np.isfinite(loss)):
@@ -200,33 +231,54 @@ class _StackedErm:
         return loss
 
     def derivatives(
-        self, theta: np.ndarray, rows: np.ndarray
+        self, theta: np.ndarray, slots: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient (R, m, d + 1) and Hessian (R, m(d + 1), m(d + 1)) of the
-        problems ``rows`` (ascending) at the theta of the last call. It uses up
-        that call's work arrays, so call it at most once per objective call."""
+        """Gradient (S, m, d + 1) and Hessian (S, m(d + 1), m(d + 1)) of the
+        problems in ``slots`` (positions in the last call's rows) at the theta
+        of that call."""
         _, m, n = self.coef_t.shape
         width = self.features_bias.shape[1]
-        r = rows.size
-        # Move the rows' work arrays to the front in place: a fresh copy of
-        # each would stay alive through the Hessian product below.
-        self.probs[:r], self.score_grad[:r] = self.probs[rows], self.score_grad[rows]
-        probs, score_grad = self.probs[:r], self.score_grad[:r]
-        grad = (score_grad.reshape(r * m, n) @ self.features_bias).reshape(r, m, width)
-        grad += ERM_L2 * theta[rows]
-        # The per-record score Hessian is d_jl g_j - p_j g_l - g_j p_l, with g
-        # the score gradient. With w_jl = p_j g_l - d_jl g_j / 2 summed against
-        # x x^T into A, the data Hessian is -(A + A^T).
-        weights = self.hess_weights[:r]
-        np.multiply(probs[:, :, None], score_grad[:, None], out=weights)
-        probs -= 0.5  # for the diagonal w_jj = (p_j - 1/2) g_j
-        np.multiply(probs, score_grad, out=weights.reshape(r, m * m, n)[:, :: m + 1])
-        blocks = (weights.reshape(r * m * m, n) @ self.outer).reshape(r, m, m, width, width)
-        hess = np.add(blocks.transpose(0, 1, 3, 2, 4), blocks.transpose(0, 2, 4, 1, 3))
-        hess = hess.reshape(r, m * width, m * width)
-        np.negative(hess, out=hess)
+        r = slots.size
+        # Rung-major copies (m, S, n), so that each block of rung pairs below
+        # is one contiguous run of memory.
+        neg_probs, score_grad, terms = (
+            work[: m * r * n].reshape(m, r, n) for work in self.rung_major
+        )
+        np.take(self.probs.transpose(1, 0, 2), slots, axis=1, out=neg_probs, mode="clip")
+        np.negative(neg_probs, out=neg_probs)
+        np.take(self.score_grad.transpose(1, 0, 2), slots, axis=1, out=score_grad, mode="clip")
+        grad = (score_grad.reshape(m * r, n) @ self.features_bias).reshape(m, r, width)
+        grad = grad.transpose(1, 0, 2) + ERM_L2 * theta[slots]
+        # The weights S_jl = d_jl g_j - p_j g_l - p_l g_j for l >= j, one
+        # diagonal l - j at a time (the order of _upper_triangle): first
+        # S_jj = (1 - 2 p_j) g_j, then S_jl = -(p_j g_l + p_l g_j).
+        weights = self.hess_weights[: m * (m + 1) // 2 * r * n].reshape(-1, r, n)
+        np.multiply(neg_probs, 2.0, out=terms)
+        terms += 1.0
+        np.multiply(terms, score_grad, out=weights[:m])
+        start = m
+        for offset in range(1, m):
+            block, term = weights[start : start + m - offset], terms[: m - offset]
+            np.multiply(neg_probs[: m - offset], score_grad[offset:], out=block)
+            np.multiply(score_grad[: m - offset], neg_probs[offset:], out=term)
+            block += term
+            start += m - offset
+        products = (weights.reshape(-1, n) @ self.outer).reshape(-1, r, self.outer.shape[1])
+        products = products.transpose(1, 0, 2).reshape(r, -1)
+        hess = np.take(products, self.hess_index, axis=1).reshape(r, m * width, m * width)
         _add_to_diagonal(hess, ERM_L2)
         return grad, hess
+
+
+def _upper_triangle(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index pairs (a, b) with a <= b < size, one diagonal b - a at a
+    time, as two arrays; and the (size, size) position in that order of each
+    entry (a, b), or of (b, a) when b < a."""
+    first = np.concatenate([np.arange(size - offset) for offset in range(size)])
+    second = first + np.repeat(np.arange(size), np.arange(size, 0, -1))
+    positions = np.empty((size, size), dtype=np.intp)
+    positions[first, second] = positions[second, first] = np.arange(first.size)
+    return first, second, positions
 
 
 def _damped_newton_descent(
@@ -238,17 +290,19 @@ def _damped_newton_descent(
     Each problem takes Levenberg-Marquardt steps ``(H + mu I) s = -grad``,
     all solved together, and keeps a step only where it lowers that problem's
     penalized loss. A problem stops once its gradient is below ``GRAD_TOL``,
-    so each problem's steps are those of solving it alone. Returns theta
-    (K, m, d + 1), the penalized loss history (K, max steps + 1) with entry t
-    the loss after step t, each problem's step count, and each final
-    gradient's max |entry|. Raises ``TrainingDiverged`` on a non-finite loss
-    or when a problem has not converged in ``MAX_DESCENT_STEPS`` steps.
+    and from then on is neither stepped nor evaluated, so each problem's steps
+    are those of solving it alone. Returns theta (K, m, d + 1), the penalized
+    loss history (K, max steps + 1) with entry t the loss after step t, each
+    problem's step count, and each final gradient's max |entry|. Raises
+    ``TrainingDiverged`` on a non-finite loss or when a problem has not
+    converged in ``MAX_DESCENT_STEPS`` steps.
     """
     objective = _StackedErm(features_bias, coef_t)
     k, m, _ = coef_t.shape
     theta = np.zeros((k, m, features_bias.shape[1]))
-    loss = _finite_loss(objective, theta, 0)
-    grad, hess = objective.derivatives(theta, np.arange(k))
+    everything = np.arange(k)
+    loss = _finite_loss(objective, theta, everything, 0)
+    grad, hess = objective.derivatives(theta, everything)
     grad_max = np.max(np.abs(grad), axis=(1, 2))
     damping = np.full(k, DAMPING_START)
     steps = np.zeros(k, dtype=int)
@@ -258,18 +312,17 @@ def _damped_newton_descent(
         active = np.flatnonzero(~(grad_max < GRAD_TOL))
         if active.size == 0:
             break
-        trial = theta.copy()
-        trial[active] -= _damped_newton_step(hess[active], grad[active], damping[active])
-        trial_loss = _finite_loss(objective, trial, t)
-        lowered = trial_loss[active] < loss[active]
+        trial = theta[active] - _damped_newton_step(hess[active], grad[active], damping[active])
+        trial_loss = _finite_loss(objective, trial, active, t)
+        lowered = trial_loss < loss[active]
         better = active[lowered]
         damping[better] *= DAMPING_SHRINK
         damping[active[~lowered]] *= DAMPING_GROW
         steps[active] = t
         if better.size:
-            theta[better] = trial[better]
-            loss[better] = trial_loss[better]
-            grad[better], hess[better] = objective.derivatives(trial, better)
+            theta[better] = trial[lowered]
+            loss[better] = trial_loss[lowered]
+            grad[better], hess[better] = objective.derivatives(trial, np.flatnonzero(lowered))
             grad_max[better] = np.max(np.abs(grad[better]), axis=(1, 2))
         history[:, t] = loss
     if not np.all(grad_max < GRAD_TOL):
@@ -293,8 +346,10 @@ def _add_to_diagonal(matrices: np.ndarray, value) -> None:
     matrices.reshape(matrices.shape[0], -1)[:, :: size + 1] += value
 
 
-def _finite_loss(objective: _StackedErm, theta: np.ndarray, step: int) -> np.ndarray:
-    loss = objective(theta)
+def _finite_loss(
+    objective: _StackedErm, theta: np.ndarray, rows: np.ndarray, step: int
+) -> np.ndarray:
+    loss = objective(theta, rows)
     if not np.all(np.isfinite(loss)):
         raise TrainingDiverged(
             f"non-finite training loss at step {step} "

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import OutcomeDist, Propensities, ValuationDist
+from .ladder import Propensities
 
 COLUMN_SUM_TOL = 1e-12
 
@@ -59,11 +59,3 @@ def build_transfer(pi0: Propensities) -> TransferMatrix:
         raise AssertionError("transfer matrix columns must sum to 1")
     return TransferMatrix(mat=mat, m=m)
 
-
-def push_forward(transfer: TransferMatrix, valuation_dist: ValuationDist) -> OutcomeDist:
-    """Map a valuation distribution to the induced outcome distribution."""
-    if valuation_dist.m != transfer.m:
-        raise ValueError(
-            f"valuation distribution has m={valuation_dist.m}, transfer has m={transfer.m}"
-        )
-    return OutcomeDist(transfer.mat @ valuation_dist.probs)

@@ -381,6 +381,19 @@ def test_eval_csv_input_errors_exit_two_and_name_the_value(
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize("bad", ["dataset", "policy"])
+def test_eval_csv_names_a_file_that_is_not_utf8(tmp_path, capsys, bad):
+    data = tmp_path / "d.csv"
+    assert main(["gen", "--n", "20", "--seed", "1", "--out", str(data)]) == 0
+    policy = _write_policy(tmp_path, "constant")
+    path = data if bad == "dataset" else policy
+    path.write_bytes(b"\xff\xfe\x00" + path.read_bytes())
+    capsys.readouterr()
+    assert main(["eval-csv", str(data), "--policy", str(policy)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and str(path) in err
+
+
 @pytest.mark.parametrize(
     "argv, named", [(["--n", "0"], "got 0"), (["--d", "2"], "got 2")], ids=["n-zero", "d-two"]
 )

@@ -21,7 +21,7 @@ from priceloss.ladder import (
     Propensities,
     ValuationDist,
 )
-from priceloss.losses import conditional_variance, corrupted_loss_vector, valuation_loss_vector
+from priceloss.losses import corrupted_loss_vector, valuation_loss_vector
 from priceloss.oracle import left_null_basis, loss_variance, qp_min_variance, random_instance
 from priceloss.transfer import build_transfer, lower_mask, upper_mask
 
@@ -62,7 +62,7 @@ def test_min_variance_beats_null_space_perturbations():
     _, pi0, policy, fv, transfer, lv = _random_setup(rng)
     fy = OutcomeDist(transfer.mat @ fv.probs)
     r = min_variance_reweight(transfer, fy)
-    base = conditional_variance(r, lv, fy)
+    base = loss_variance(corrupted_loss_vector(r, lv), fv.probs, transfer)
     nbasis = left_null_basis(transfer)
     for _ in range(1000):
         z = rng.standard_normal((transfer.m + 1, nbasis.shape[1]))

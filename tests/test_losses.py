@@ -18,14 +18,13 @@ from priceloss.ladder import (
     Propensities,
 )
 from priceloss.losses import (
-    conditional_variance,
     corrupted_loss_vector,
     loss_coefficients,
     per_record_losses,
     per_record_losses_reference,
     valuation_loss_vector,
 )
-from priceloss.oracle import random_instance
+from priceloss.oracle import loss_variance, random_instance
 from priceloss.synthgen import GenConfig, SurfaceKind, generate_dataset, sample_surface
 from priceloss.transfer import build_transfer
 
@@ -91,12 +90,14 @@ def test_unbiasedness_identity_random_instances():
 
 def test_conditional_variance_degenerate_and_zero_loss():
     pi0 = Propensities(np.array([0.5, 0.5]))
+    transfer = build_transfer(pi0)
     r = ips_reweight(pi0)
-    point_mass = OutcomeDist(np.array([1.0, 0.0, 0.0, 0.0]))
+    # valuation below every price: each outcome is a no-sale, whose IPS loss is 0
+    never_buys = np.array([1.0, 0.0, 0.0])
     lv = np.array([0.0, -0.4, -1.6])
-    assert conditional_variance(r, lv, point_mass) == 0.0
-    uniform = OutcomeDist(np.full(4, 0.25))
-    assert conditional_variance(r, np.zeros(3), uniform) == 0.0
+    assert loss_variance(corrupted_loss_vector(r, lv), never_buys, transfer) == 0.0
+    uniform = np.full(3, 1.0 / 3)
+    assert loss_variance(corrupted_loss_vector(r, np.zeros(3)), uniform, transfer) == 0.0
 
 
 def test_conditional_variance_matches_enumeration():
@@ -110,7 +111,7 @@ def test_conditional_variance_matches_enumeration():
         c = corrupted_loss_vector(r, lv)
         second = float(fy.probs @ (c * c))
         mean = float(fy.probs @ c)
-        assert abs(conditional_variance(r, lv, fy) - (second - mean * mean)) < 1e-12
+        assert abs(loss_variance(c, fv.probs, transfer) - (second - mean * mean)) < 1e-12
 
 
 def test_conditional_variance_matches_monte_carlo():
@@ -119,7 +120,8 @@ def test_conditional_variance_matches_monte_carlo():
     transfer = build_transfer(pi0)
     ladder = PriceLadder(np.array([1.0, 2.0]))
     lv = valuation_loss_vector(PolicyDist(np.array([0.25, 0.75])), ladder)
-    fy = OutcomeDist(np.array([0.2, 0.1, 0.3, 0.4]))
+    fv = np.array([0.4, 0.3, 0.3])
+    fy = OutcomeDist(transfer.mat @ fv)
     r = min_variance_reweight(transfer, fy)
     c = corrupted_loss_vector(r, lv)
     draws = 1_000_000
@@ -129,7 +131,7 @@ def test_conditional_variance_matches_monte_carlo():
     mu = samples.mean()
     m4 = np.mean((samples - mu) ** 4)
     se = np.sqrt((m4 - sample_var**2) / draws)
-    assert abs(conditional_variance(r, lv, fy) - sample_var) <= 3 * se
+    assert abs(loss_variance(c, fv, transfer) - sample_var) <= 3 * se
 
 
 def _synthetic_dataset(n=200, seed=0, m=5):

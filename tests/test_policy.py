@@ -11,6 +11,7 @@ from priceloss.losses import loss_coefficients, per_record_losses
 from priceloss import policy
 from priceloss.cli import _load_policy
 from priceloss.policy import (
+    ERM_L2,
     GRAD_TOL,
     ConstantPolicy,
     GreedyDemandPolicy,
@@ -110,6 +111,57 @@ def test_hessian_matches_finite_differences_of_the_gradient():
             down, _ = objective.derivatives(theta - bump, rows)
             fd[:, :, a] = (up - down).reshape(3, -1) / (2 * h)
         assert np.max(np.abs(hess - fd)) < 1e-8
+
+
+def _dense_derivatives(xb, coef_t, theta):
+    """Gradient and Hessian of each problem's penalized loss, built whole:
+    sum_i g_i x_i^T and sum_i S_i kron x_i x_i^T with S_i the score Hessian."""
+    n = xb.shape[0]
+    k, m, width = theta.shape
+    probs = softmax_rows(theta @ xb.T)
+    score_grad = probs * (coef_t - np.sum(probs * coef_t, axis=1, keepdims=True)) / n
+    score_hess = (
+        np.einsum("jl,kji->kjli", np.eye(m), score_grad)
+        - np.einsum("kji,kli->kjli", probs, score_grad)
+        - np.einsum("kji,kli->kjli", score_grad, probs)
+    )
+    grad = np.einsum("kji,ia->kja", score_grad, xb) + ERM_L2 * theta
+    hess = np.einsum("kjli,ia,ib->kjalb", score_hess, xb, xb).reshape(k, m * width, m * width)
+    return grad, hess + ERM_L2 * np.eye(m * width)
+
+
+def _strict_subset(rng, count):
+    """Ascending indices of a random strict subset of range(count); [0] for 1."""
+    size = int(rng.integers(1, count)) if count > 1 else 1
+    return np.sort(rng.choice(count, size, replace=False))
+
+
+def test_derivatives_match_a_dense_reference():
+    rng = np.random.default_rng(14)
+    shapes = [(1, 1, 0, 1), (2, 1, 3, 7), (3, 4, 0, 9), (1, 5, 10, 40)]
+    shapes += [tuple(int(v) for v in rng.integers([1, 1, 0, 1], [7, 8, 9, 60])) for _ in range(30)]
+    for k, m, d, n in shapes:
+        xb = with_bias(rng.standard_normal((n, d)))
+        coef_t = rng.standard_normal((k, m, n))
+        theta = rng.standard_normal((k, m, d + 1)) * 0.5
+        objective = _StackedErm(xb, coef_t)
+        rows = _strict_subset(rng, k)
+        slots = _strict_subset(rng, rows.size)
+        objective(theta[rows], rows)
+        grad, hess = objective.derivatives(theta[rows], slots)
+        ref_grad, ref_hess = _dense_derivatives(xb, coef_t[rows[slots]], theta[rows[slots]])
+        assert np.max(np.abs(grad - ref_grad)) < 1e-12
+        assert np.max(np.abs(hess - ref_hess)) < 1e-12
+
+
+def test_objective_on_a_subset_matches_the_full_evaluation():
+    rng = np.random.default_rng(15)
+    for _ in range(30):
+        k, m, d, n = (int(v) for v in rng.integers([2, 1, 0, 1], [12, 8, 12, 300]))
+        objective, theta = _erm_problem(rng, k=k, n=n, d=d, m=m)
+        full = objective(theta)
+        rows = _strict_subset(rng, k)
+        assert np.array_equal(objective(theta[rows], rows), full[rows])
 
 
 def _fit(ds, kind=EstimatorKind.ROBUST, ladder=LADDER):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from priceloss.ladder import Propensities, ValuationDist
-from priceloss.transfer import OverlapError, build_transfer, push_forward
+from priceloss.ladder import Propensities
+from priceloss.transfer import OverlapError, build_transfer
 
 
 def test_two_price_uniform_matches_worked_layout():
@@ -36,19 +36,19 @@ def test_zero_propensity_rejected():
 
 def test_push_forward_uniform_valuations():
     t = build_transfer(Propensities(np.array([0.5, 0.5])))
-    out = push_forward(t, ValuationDist(np.full(3, 1.0 / 3)))
-    assert np.allclose(out.probs, [1 / 3, 1 / 6, 1 / 6, 1 / 3])
+    out = t.mat @ np.full(3, 1.0 / 3)
+    assert np.allclose(out, [1 / 3, 1 / 6, 1 / 6, 1 / 3])
 
 
 def test_push_forward_extreme_valuations():
     pi0 = np.array([0.2, 0.3, 0.5])
     t = build_transfer(Propensities(pi0))
-    everyone_buys = push_forward(t, ValuationDist(np.array([0.0, 0.0, 0.0, 1.0])))
-    assert np.allclose(everyone_buys.probs[:3], pi0)
-    assert np.allclose(everyone_buys.probs[3:], 0.0)
-    nobody_buys = push_forward(t, ValuationDist(np.array([1.0, 0.0, 0.0, 0.0])))
-    assert np.allclose(nobody_buys.probs[:3], 0.0)
-    assert np.allclose(nobody_buys.probs[3:], pi0)
+    everyone_buys = t.mat @ np.array([0.0, 0.0, 0.0, 1.0])
+    assert np.allclose(everyone_buys[:3], pi0)
+    assert np.allclose(everyone_buys[3:], 0.0)
+    nobody_buys = t.mat @ np.array([1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(nobody_buys[:3], 0.0)
+    assert np.allclose(nobody_buys[3:], pi0)
 
 
 def test_push_forward_stays_on_simplex():
@@ -57,9 +57,9 @@ def test_push_forward_stays_on_simplex():
         m = int(rng.integers(1, 9))
         pi0 = rng.dirichlet(np.ones(m)) * 0.9 + 0.1 / m
         fv = rng.dirichlet(np.ones(m + 1))
-        out = push_forward(build_transfer(Propensities(pi0)), ValuationDist(fv))
-        assert np.all(out.probs >= 0)
-        assert abs(out.probs.sum() - 1.0) < 1e-10
+        out = build_transfer(Propensities(pi0)).mat @ fv
+        assert np.all(out >= 0)
+        assert abs(out.sum() - 1.0) < 1e-10
 
 
 def test_push_forward_matches_monte_carlo_frequencies():
@@ -68,7 +68,7 @@ def test_push_forward_matches_monte_carlo_frequencies():
     pi0 = np.array([0.2, 0.3, 0.5])
     fv = np.array([0.1, 0.2, 0.3, 0.4])
     t = build_transfer(Propensities(pi0))
-    expected = push_forward(t, ValuationDist(fv)).probs
+    expected = t.mat @ fv
 
     draws = 100_000
     valuations = rng.choice(m + 1, size=draws, p=fv)
