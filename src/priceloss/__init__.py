@@ -17,7 +17,6 @@ from .ladder import (
 from .transfer import TransferMatrix, build_transfer
 from .estimators import (
     EstimatorKind,
-    ReweightMatrix,
     cips_reweight,
     doubly_robust_reward,
     dr_decomposition,

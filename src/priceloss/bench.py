@@ -30,6 +30,7 @@ from .policy import (
     target_policy_for_evaluation,
 )
 from .synthgen import (
+    DemandSurface,
     GenConfig,
     SurfaceKind,
     generate_dataset,
@@ -74,6 +75,42 @@ class BenchConfig:
     cv_folds: int = 5
     workers: int = 1
 
+    def __post_init__(self):
+        """Check the fields before any replication runs: a bad value raises a
+        ``ValueError`` that names the fields its check reads."""
+        for fields, check in (
+            ("reps", lambda: _at_least(self.reps, 1)),
+            ("cv_folds", lambda: _at_least(self.cv_folds, 2)),
+            ("n_grid", lambda: [GenConfig(n=n) for n in self.n_grid]),
+            ("n_policy_train", lambda: GenConfig(n=self.n_policy_train)),
+            ("n_demand_fit", lambda: GenConfig(n=self.n_demand_fit)),
+            ("test_size", lambda: GenConfig(n=self.test_size)),
+            ("ladder/unit_cost", self.price_ladder),
+            ("estimators", lambda: [EstimatorKind(name) for name in self.estimators]),
+            ("surface", lambda: SurfaceKind(self.surface)),
+            (
+                "d/price_scale",
+                lambda: DemandSurface(
+                    SurfaceKind(self.surface), np.zeros(self.d), price_scale=self.price_scale
+                ),
+            ),
+            ("alpha_grid", self._check_alphas),
+        ):
+            try:
+                check()
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{fields}: {exc}") from None
+
+    def _check_alphas(self) -> None:
+        """Each alpha is a blend weight, and no two share an RNG stream."""
+        alphas: dict[int, float] = {}
+        for alpha in self.alpha_grid or ():
+            blend_alpha(None, alpha)  # only checks the range here
+            key = _stream_key(alpha)
+            if key in alphas:
+                raise ValueError(f"{alphas[key]!r} and {alpha!r} round to one RNG stream key")
+            alphas[key] = alpha
+
     def price_ladder(self) -> PriceLadder:
         return PriceLadder(np.asarray(self.ladder, dtype=np.float64), self.unit_cost)
 
@@ -104,8 +141,18 @@ def config_from_dict(doc: dict, **overrides) -> BenchConfig:
     return BenchConfig(**merged)
 
 
+def _at_least(value, low) -> None:
+    if not value >= low:
+        raise ValueError(f"need at least {low}, got {value!r}")
+
+
+def _stream_key(k: float) -> int:
+    """The seed entry of a float key: its magnitude to 1e-3, offset when negative."""
+    return int(abs(k) * 1000) + (1 << 20) * (k < 0)
+
+
 def _rep_rng(seed: int, *keys: float) -> np.random.Generator:
-    ints = [seed] + [int(abs(k) * 1000) + (1 << 20) * (k < 0) for k in keys]
+    ints = [seed] + [_stream_key(k) for k in keys]
     return np.random.default_rng(np.random.SeedSequence(ints))
 
 

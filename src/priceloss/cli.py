@@ -154,7 +154,7 @@ def cmd_eval_csv(args) -> int:
     if linear and policy.theta.shape[1] != dataset.d + 1:
         cols, d = policy.theta.shape[1], dataset.d
         raise InputError(f"policy theta has {cols} columns but {d} features need {d + 1}")
-    report = validate(dataset)
+    overlap_violations = validate(dataset)
     pm = policy.probs_matrix(dataset.features)
 
     kinds = []
@@ -184,7 +184,7 @@ def cmd_eval_csv(args) -> int:
     doc = {
         "n": dataset.n,
         "min_propensity": float(dataset.propensities.min()),
-        "overlap_violations": len(report.overlap_violations),
+        "overlap_violations": len(overlap_violations),
         "estimators": results,
     }
     text = json.dumps(doc, indent=2, sort_keys=True)

@@ -43,16 +43,6 @@ class EstimatorKind(str, enum.Enum):
     SWITCHING = "cmix"
 
 
-@dataclass(frozen=True)
-class ReweightMatrix:
-    mat: np.ndarray  # (m+1, 2m)
-    kind: EstimatorKind
-
-    @property
-    def m(self) -> int:
-        return self.mat.shape[1] // 2
-
-
 def hop_matrix(m: int) -> np.ndarray:
     """H: (m+1, m) bidiagonal with -1 on the diagonal, +1 below.
 
@@ -65,17 +55,12 @@ def hop_matrix(m: int) -> np.ndarray:
     return h
 
 
-def left_inverse_defect(reweight: ReweightMatrix, transfer: TransferMatrix) -> float:
+def left_inverse_defect(reweight: np.ndarray, transfer: TransferMatrix) -> float:
     """Max-abs deviation of R @ T from the identity."""
-    m = transfer.m
-    return float(
-        np.max(np.abs(reweight.mat @ transfer.mat - np.eye(m + 1)))
-    )
+    return float(np.max(np.abs(reweight @ transfer.mat - np.eye(transfer.m + 1))))
 
 
-def min_variance_reweight(
-    transfer: TransferMatrix, outcome_hat: OutcomeDist
-) -> ReweightMatrix:
+def min_variance_reweight(transfer: TransferMatrix, outcome_hat: OutcomeDist) -> np.ndarray:
     """Left inverse with minimum conditional loss variance at ``outcome_hat``.
 
     Computed by solving (T' D^-1 T) R = T' D^-1 rather than forming any
@@ -89,16 +74,15 @@ def min_variance_reweight(
         raise ValueError("plug-in outcome distribution has nonpositive mass")
     weighted = transfer.mat.T / f  # T' D^-1, shape (m+1, 2m)
     mat = np.linalg.solve(weighted @ transfer.mat, weighted)
-    r = ReweightMatrix(mat=mat, kind=EstimatorKind.MIN_VARIANCE)
-    defect = left_inverse_defect(r, transfer)
+    defect = left_inverse_defect(mat, transfer)
     if defect > LEFT_INVERSE_TOL:
         raise ArithmeticError(
             f"minimum-variance construction lost the left-inverse property ({defect:.2e})"
         )
-    return r
+    return mat
 
 
-def robust_reweight(transfer: TransferMatrix) -> ReweightMatrix:
+def robust_reweight(transfer: TransferMatrix) -> np.ndarray:
     """Left inverse minimizing the worst-case variance over valuation distributions.
 
     The adversary's optimum splits customers between the never-buys and
@@ -111,13 +95,12 @@ def robust_reweight(transfer: TransferMatrix) -> ReweightMatrix:
     u, low = upper_mask(m), lower_mask(m)
     gram = u.T @ (pi0[:, None] * u) + low.T @ (pi0[:, None] * low)
     mat = np.linalg.solve(gram, np.hstack([u.T, low.T]))
-    r = ReweightMatrix(mat=mat, kind=EstimatorKind.ROBUST)
-    if left_inverse_defect(r, transfer) > LEFT_INVERSE_TOL:
+    if left_inverse_defect(mat, transfer) > LEFT_INVERSE_TOL:
         raise ArithmeticError("robust construction lost the left-inverse property")
-    return r
+    return mat
 
 
-def ips_reweight(pi0: Propensities) -> ReweightMatrix:
+def ips_reweight(pi0: Propensities) -> np.ndarray:
     """Inverse-propensity reweighting: sparse, supported on sale outcomes only.
 
     A generalized inverse: T' R' lv = lv holds for every valuation loss
@@ -127,10 +110,10 @@ def ips_reweight(pi0: Propensities) -> ReweightMatrix:
     m = pi0.m
     mat = np.zeros((m + 1, 2 * m))
     mat[:, :m] = hop_matrix(m) / pi0.probs
-    return ReweightMatrix(mat=mat, kind=EstimatorKind.IPS)
+    return mat
 
 
-def cips_reweight(pi0: Propensities) -> ReweightMatrix:
+def cips_reweight(pi0: Propensities) -> np.ndarray:
     """Complement of IPS: the data-dependent part lives on no-sale outcomes.
 
     The mirrored bidiagonal block alone telescopes against the top of the
@@ -146,19 +129,16 @@ def cips_reweight(pi0: Propensities) -> ReweightMatrix:
     mat = np.zeros((m + 1, 2 * m))
     mat[:, m:] = -hop_matrix(m) / pi0.probs
     mat[m, :] += 1.0
-    return ReweightMatrix(mat=mat, kind=EstimatorKind.CIPS)
+    return mat
 
 
-def switching_reweight(
-    min_variance: ReweightMatrix, robust: ReweightMatrix, weight: float
-) -> ReweightMatrix:
+def switching_reweight(min_variance: np.ndarray, robust: np.ndarray, weight: float) -> np.ndarray:
     """Convex mix ``c * R_mv + (1-c) * R_robust``; unbiased by linearity."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"switching weight must lie in [0, 1], got {weight}")
-    if min_variance.mat.shape != robust.mat.shape:
+    if min_variance.shape != robust.shape:
         raise ValueError("component matrices have mismatched shapes")
-    mat = weight * min_variance.mat + (1.0 - weight) * robust.mat
-    return ReweightMatrix(mat=mat, kind=EstimatorKind.SWITCHING)
+    return weight * min_variance + (1.0 - weight) * robust
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +215,7 @@ def reweight_for(
     pi0: Propensities,
     outcome_hat: OutcomeDist | None = None,
     switching_weight: float | None = None,
-) -> ReweightMatrix:
+) -> np.ndarray:
     """Build the reweight matrix of the requested kind for one customer."""
     transfer = build_transfer(pi0)
     if kind == EstimatorKind.IPS:

@@ -17,7 +17,7 @@ import csv
 import io
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -203,36 +203,11 @@ class Dataset:
         )
 
 
-@dataclass
-class ValidationReport:
-    """Report-only diagnostics for a dataset against the model assumptions."""
-
-    n: int
-    overlap_violations: list[int] = field(default_factory=list)
-    consistency_violations: list[int] = field(default_factory=list)
-    assumed: tuple[str, ...] = (
-        "ignorability (untestable from data; assumed)",
-        "consistency of observed outcomes (untestable without latents; assumed)",
-    )
-
-    @property
-    def ok(self) -> bool:
-        return not self.overlap_violations and not self.consistency_violations
-
-
-def validate(dataset: Dataset, floor: float = PROPENSITY_FLOOR) -> ValidationReport:
-    """Flag overlap violations and, when latents exist, inconsistent records.
-
-    Never raises: callers decide what to do with the report.
-    """
-    report = ValidationReport(n=dataset.n)
+def validate(dataset: Dataset) -> np.ndarray:
+    """Indices of the rows whose logged price had a propensity below
+    ``PROPENSITY_FLOOR`` (overlap violations). Never raises."""
     picked = dataset.propensities[np.arange(dataset.n), dataset.price_index - 1]
-    report.overlap_violations = [int(i) for i in np.nonzero(picked < floor)[0]]
-    if dataset.valuations is not None:
-        should_sell = dataset.price_index <= dataset.valuations
-        bad = np.nonzero(should_sell != dataset.sold)[0]
-        report.consistency_violations = [int(i) for i in bad]
-    return report
+    return np.flatnonzero(picked < PROPENSITY_FLOOR)
 
 
 # ---------------------------------------------------------------------------

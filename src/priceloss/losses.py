@@ -38,14 +38,15 @@ probabilities and c the switching weight:
     cmix    margins * (c g + (1 - c) / 2)
 
 The coefficients are affine in mu, so cmix is built as the c-weighted mix
-c * coef_mv + (1 - c) * coef_robust of the mv and robust coefficient matrices
-(``mix_coefficients``), which equals the formula at its mu.
+c * coef_mv + (1 - c) * coef_robust of the mv and robust coefficient matrices,
+which equals the formula at its mu.
 
 ``estimator_coefficients`` is the one place that decides which matrices a
-set of kinds needs: it builds each matrix once, and forms cmix from the mv
-and robust matrices at the weight its caller chooses from those same
-matrices (by variance for evaluation, by cross-validated training for
-learning).
+set of kinds needs and the one place that forms cmix: it builds each matrix
+once, and mixes the mv and robust matrices at the weight its caller chooses
+from those same matrices (by variance for evaluation, by cross-validated
+training for learning). ``loss_coefficients`` at an explicit weight goes
+through it too.
 
 The demand plug-in is any object with ``sale_probs_matrix(features)``. Each
 build calls it once at the records' features; its output must be (n, m)
@@ -61,11 +62,7 @@ from __future__ import annotations
 import numpy as np
 
 from .demand import clamp_probs
-from .estimators import (
-    EstimatorKind,
-    ReweightMatrix,
-    reweight_for,
-)
+from .estimators import EstimatorKind, reweight_for
 from .ladder import Dataset, OutcomeDist, PolicyDist, PriceLadder, Propensities
 
 
@@ -78,14 +75,12 @@ def valuation_loss_vector(policy: PolicyDist, ladder: PriceLadder) -> np.ndarray
     return out
 
 
-def corrupted_loss_vector(reweight: ReweightMatrix, loss_vec: np.ndarray) -> np.ndarray:
+def corrupted_loss_vector(reweight: np.ndarray, loss_vec: np.ndarray) -> np.ndarray:
     """Per-outcome corrupted losses R' lv, one entry per (price, sale) slot."""
     lv = np.asarray(loss_vec, dtype=np.float64)
-    if lv.shape != (reweight.mat.shape[0],):
-        raise ValueError(
-            f"loss vector has length {lv.shape}, expected {reweight.mat.shape[0]}"
-        )
-    return reweight.mat.T @ lv
+    if lv.shape != (reweight.shape[0],):
+        raise ValueError(f"loss vector has length {lv.shape}, expected {reweight.shape[0]}")
+    return reweight.T @ lv
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +147,10 @@ def loss_coefficients(
             raise ValueError("switching estimator needs an explicit weight")
         if not 0.0 <= switching_weight <= 1.0:
             raise ValueError("switching weight must lie in [0, 1]")
-        mv = loss_coefficients(dataset, ladder, EstimatorKind.MIN_VARIANCE, demand)
-        rob = loss_coefficients(dataset, ladder, EstimatorKind.ROBUST)
-        return mix_coefficients(mv, rob, switching_weight)
+        per_kind = estimator_coefficients(
+            dataset, ladder, [kind], demand, lambda mv, rob: switching_weight
+        )
+        return per_kind[kind][0]
     mu = np.broadcast_to(_reward_plugin(dataset, ladder, kind, demand), (dataset.n, m))
     rows = np.arange(dataset.n)
     j0 = dataset.price_index - 1
@@ -162,11 +158,6 @@ def loss_coefficients(
     coef = -mu
     coef[rows, j0] -= (observed - mu[rows, j0]) / dataset.propensities[rows, j0]
     return coef
-
-
-def mix_coefficients(coef_mv: np.ndarray, coef_rob: np.ndarray, weight: float) -> np.ndarray:
-    """The cmix coefficients at switching weight c: c * mv + (1 - c) * robust."""
-    return weight * coef_mv + (1.0 - weight) * coef_rob
 
 
 def estimator_coefficients(
@@ -198,7 +189,7 @@ def estimator_coefficients(
             mv = coefficients(EstimatorKind.MIN_VARIANCE)
             rob = coefficients(EstimatorKind.ROBUST)
             weight = choose_weight(mv, rob)
-            coef = mix_coefficients(mv, rob, weight)
+            coef = weight * mv + (1.0 - weight) * rob
         else:
             coef = coefficients(kind)
         out[kind] = (coef, weight)

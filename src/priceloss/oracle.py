@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (
-    EstimatorKind,
-    ReweightMatrix,
     cips_reweight,
     dr_decomposition,
     ips_reweight,
@@ -28,14 +26,14 @@ from .transfer import TransferMatrix, build_transfer
 
 
 def exact_expectation(
-    reweight: ReweightMatrix,
+    reweight: np.ndarray,
     loss_vec: np.ndarray,
     valuation_dist: ValuationDist,
     transfer: TransferMatrix,
 ) -> float:
     """Expected corrupted loss by full enumeration of the 2m outcomes."""
     outcome_probs = transfer.mat @ valuation_dist.probs
-    per_outcome = reweight.mat.T @ np.asarray(loss_vec, dtype=np.float64)
+    per_outcome = reweight.T @ np.asarray(loss_vec, dtype=np.float64)
     return float(np.dot(outcome_probs, per_outcome))
 
 
@@ -155,9 +153,9 @@ def minimax_grid(
     lv = np.asarray(loss_vec, dtype=np.float64)
 
     candidates: dict[str, np.ndarray] = {
-        "robust": robust_reweight(transfer).mat,
-        "ips": ips_reweight(pi0).mat,
-        "cips": cips_reweight(pi0).mat,
+        "robust": robust_reweight(transfer),
+        "ips": ips_reweight(pi0),
+        "cips": cips_reweight(pi0),
     }
 
     worst: dict[str, float] = {}
@@ -186,7 +184,7 @@ def minimax_grid(
             if np.any(fy <= 0.0):
                 continue  # no minimum-variance matrix without full outcome support
             plugged = min_variance_reweight(transfer, OutcomeDist(fy))
-            variances = _grid_variances(plugged.mat.T @ lv, grid, transfer)
+            variances = _grid_variances(plugged.T @ lv, grid, transfer)
             best_plugin = min(best_plugin, float(variances.max()))
         worst["best_plugin_mv"] = best_plugin
 
@@ -265,9 +263,7 @@ def unbiasedness_sweep(n_instances: int, seed: int) -> list[SweepRow]:
         estimators = {
             "mv": mv,
             "robust": rob,
-            "switching": ReweightMatrix(
-                0.5 * mv.mat + 0.5 * rob.mat, EstimatorKind.SWITCHING
-            ),
+            "switching": 0.5 * mv + 0.5 * rob,
             "ips": ips_reweight(pi0),
             "cips": cips_reweight(pi0),
         }
@@ -299,16 +295,16 @@ def inverse_condition_sweep(n_instances: int, seed: int, policies_each: int = 5)
         mv = min_variance_reweight(transfer, fy_plugin)
         rob = robust_reweight(transfer)
         split = transfer.mat[:, 0] + transfer.mat[:, -1]  # = (pi_0; pi_0)
-        alt = min_variance_reweight(transfer, OutcomeDist(split / 2.0)).mat
-        worst_paths = max(worst_paths, float(np.max(np.abs(rob.mat - alt))))
-        mix = ReweightMatrix(0.3 * mv.mat + 0.7 * rob.mat, EstimatorKind.SWITCHING)
+        alt = min_variance_reweight(transfer, OutcomeDist(split / 2.0))
+        worst_paths = max(worst_paths, float(np.max(np.abs(rob - alt))))
+        mix = 0.3 * mv + 0.7 * rob
         for reweight in (mv, rob, mix):
-            worst_left = max(worst_left, float(np.max(np.abs(reweight.mat @ transfer.mat - eye))))
+            worst_left = max(worst_left, float(np.max(np.abs(reweight @ transfer.mat - eye))))
         for _ in range(policies_each):
             policy = PolicyDist(_interior_simplex(rng, m))
             lv = valuation_loss_vector(policy, ladder)
             for reweight in (ips_reweight(pi0), cips_reweight(pi0)):
-                resid = transfer.mat.T @ (reweight.mat.T @ lv) - lv
+                resid = transfer.mat.T @ (reweight.T @ lv) - lv
                 worst_gen = max(worst_gen, float(np.max(np.abs(resid))))
     return [
         SweepRow("left_inverse_defect", seed, worst_left, 1e-9),
@@ -328,7 +324,7 @@ def dr_equivalence_sweep(n_instances: int, seed: int) -> list[SweepRow]:
         lv = valuation_loss_vector(policy, ladder)
         mv = min_variance_reweight(transfer, OutcomeDist(transfer.mat @ fv_hat.probs))
         parts = dr_decomposition(transfer, fv_hat, pi0)
-        worst_mat = max(worst_mat, float(np.max(np.abs(mv.mat - parts.combined()))))
+        worst_mat = max(worst_mat, float(np.max(np.abs(mv - parts.combined()))))
         mu = plugin_rewards(fv_hat, ladder.margins)
         per_outcome = corrupted_loss_vector(mv, lv)
         m = ladder.m
@@ -358,10 +354,10 @@ def qp_match_sweep(n_instances: int, seed: int, n_perturbations: int = 10_000) -
         fy = OutcomeDist(transfer.mat @ fv.probs)
         closed = min_variance_reweight(transfer, fy)
         numerical = qp_min_variance(transfer, fy)
-        worst_match = max(worst_match, float(np.max(np.abs(closed.mat - numerical))))
+        worst_match = max(worst_match, float(np.max(np.abs(closed - numerical))))
         # The closed form must not lose to any feasible perturbation.
         nbasis = left_null_basis(transfer)
-        base_c = closed.mat.T @ lv
+        base_c = closed.T @ lv
         base_var = loss_variance(base_c, fv.probs, transfer)
         z = rng.standard_normal((nbasis.shape[1], n_perturbations))
         perturbed = base_c[:, None] + nbasis @ z  # corrupted losses of R + (Nz)' rows

@@ -18,12 +18,9 @@ reduce over the m rungs with whole rows of records as vectors. Each step
 evaluates the loss of the problems still descending only, builds the
 m(d + 1)-square Hessians of those whose step was kept, and solves all the
 damped Newton systems with one batched solve; each problem stops on its own
-gradient tolerance. A Hessian is ``sum_i S_i kron x_i x_i^T`` with both
-factors symmetric, so it is built from its unique entries: the m(m + 1)/2
-rung pairs of ``S_i`` times the (d + 1)(d + 2)/2 feature pairs of
-``x_i x_i^T`` in one matrix product, spread over the full matrix with one
-precomputed ``take``. ``optimize_policy`` is the K = 1 call; switching-weight
-cross-validation trains every candidate weight of a fold in one call.
+gradient tolerance (``_StackedErm`` describes how a Hessian is built).
+``optimize_policy`` is the K = 1 call; switching-weight cross-validation
+trains every candidate weight of a fold in one call.
 """
 
 from __future__ import annotations
@@ -239,8 +236,7 @@ class _StackedErm:
         _, m, n = self.coef_t.shape
         width = self.features_bias.shape[1]
         r = slots.size
-        # Rung-major copies (m, S, n), so that each block of rung pairs below
-        # is one contiguous run of memory.
+        # Rung-major (m, S, n), so each block of rung pairs below is contiguous.
         neg_probs, score_grad, terms = (
             work[: m * r * n].reshape(m, r, n) for work in self.rung_major
         )
@@ -249,8 +245,7 @@ class _StackedErm:
         np.take(self.score_grad.transpose(1, 0, 2), slots, axis=1, out=score_grad, mode="clip")
         grad = (score_grad.reshape(m * r, n) @ self.features_bias).reshape(m, r, width)
         grad = grad.transpose(1, 0, 2) + ERM_L2 * theta[slots]
-        # The weights S_jl = d_jl g_j - p_j g_l - p_l g_j for l >= j, one
-        # diagonal l - j at a time (the order of _upper_triangle): first
+        # One diagonal l - j at a time, in the order of _upper_triangle:
         # S_jj = (1 - 2 p_j) g_j, then S_jl = -(p_j g_l + p_l g_j).
         weights = self.hess_weights[: m * (m + 1) // 2 * r * n].reshape(-1, r, n)
         np.multiply(neg_probs, 2.0, out=terms)
@@ -375,7 +370,9 @@ def optimize_policy(features: np.ndarray, ladder: PriceLadder, coef: np.ndarray)
 # Switching-weight selection
 # ---------------------------------------------------------------------------
 
-DEFAULT_WEIGHT_GRID = tuple(np.linspace(0.0, 1.0, 10))
+# The candidate switching weights, as Python floats so that a chosen weight
+# prints the same in JSON.
+WEIGHT_GRID = tuple(float(c) for c in np.linspace(0.0, 1.0, 10))
 CV_FOLDS = 5
 
 
@@ -384,19 +381,8 @@ def _fold_slices(n: int, folds: int) -> list[np.ndarray]:
     return [idx[f::folds] for f in range(folds)]
 
 
-def _checked_grid(grid) -> list[float]:
-    grid = [float(c) for c in grid]
-    if not grid or any(not 0.0 <= c <= 1.0 for c in grid):
-        raise ValueError("grid must be nonempty within [0, 1]")
-    return grid
-
-
 def select_switching_weight(
-    policy_matrix: np.ndarray,
-    coef_mv: np.ndarray,
-    coef_rob: np.ndarray,
-    grid=DEFAULT_WEIGHT_GRID,
-    folds: int = CV_FOLDS,
+    policy_matrix: np.ndarray, coef_mv: np.ndarray, coef_rob: np.ndarray, folds: int = CV_FOLDS
 ) -> float:
     """Evaluation-mode choice: the weight with the lowest cross-fold variance.
 
@@ -405,14 +391,13 @@ def select_switching_weight(
     computed once; the candidate's loss is their convex mix, and its
     empirical variance is averaged over held-out folds.
     """
-    grid = _checked_grid(grid)
     pm = np.atleast_2d(policy_matrix)
     loss_mv = np.sum(pm * coef_mv, axis=1)
     loss_rob = np.sum(pm * coef_rob, axis=1)
     n = loss_mv.shape[0]
     slices = _fold_slices(n, min(folds, n))
-    best_c, best_var = grid[0], np.inf
-    for c in grid:
+    best_c, best_var = WEIGHT_GRID[0], np.inf
+    for c in WEIGHT_GRID:
         mixed = c * loss_mv + (1.0 - c) * loss_rob
         fold_vars = [float(np.var(mixed[s])) for s in slices if s.size > 0]
         score = float(np.mean(fold_vars))
@@ -422,11 +407,7 @@ def select_switching_weight(
 
 
 def select_switching_weight_for_training(
-    features: np.ndarray,
-    coef_mv: np.ndarray,
-    coef_rob: np.ndarray,
-    grid=DEFAULT_WEIGHT_GRID,
-    folds: int = CV_FOLDS,
+    features: np.ndarray, coef_mv: np.ndarray, coef_rob: np.ndarray, folds: int = CV_FOLDS
 ) -> float:
     """Optimization-mode choice: weight whose trained policy cross-validates best.
 
@@ -437,13 +418,10 @@ def select_switching_weight_for_training(
     the weight with the lowest average held-out loss. Each fold trains all
     the candidates in one stacked descent.
     """
-    grid = _checked_grid(grid)
-    if len(grid) == 1:
-        return grid[0]
-    coef_t = np.stack([c * coef_mv.T + (1.0 - c) * coef_rob.T for c in grid])
+    coef_t = np.stack([c * coef_mv.T + (1.0 - c) * coef_rob.T for c in WEIGHT_GRID])
     Xb = with_bias(features)
     n = Xb.shape[0]
-    held_out = np.zeros(len(grid))
+    held_out = np.zeros(len(WEIGHT_GRID))
     for s in _fold_slices(n, min(folds, n)):
         if s.size == 0 or s.size == n:
             continue
@@ -452,4 +430,4 @@ def select_switching_weight_for_training(
         theta, _, _, _ = _damped_newton_descent(Xb[train], coef_t[:, :, train])
         probs = softmax_rows(theta @ Xb[s].T)
         held_out += np.sum(probs * coef_t[:, :, s], axis=(1, 2)) / s.size
-    return grid[int(np.argmin(held_out))]
+    return WEIGHT_GRID[int(np.argmin(held_out))]

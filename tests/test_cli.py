@@ -285,6 +285,35 @@ def test_removed_experiment_key_exits_two_and_is_named(tmp_path, capsys):
     assert "'experiment'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("eval-sweep", {"reps": 0}, "reps"),
+        ("learn-sweep", {"reps": -1}, "reps"),
+        ("eval-sweep", {"cv_folds": 0}, "cv_folds"),
+        ("learn-sweep", {"cv_folds": 0}, "cv_folds"),
+        ("eval-sweep", {"n_grid": [0]}, "n_grid"),
+        ("sales-regime", {"test_size": 0}, "test_size"),
+        ("eval-sweep", {"estimators": ["bogus"]}, "estimators"),
+        ("eval-sweep", {"alpha_grid": [1.5]}, "alpha_grid"),
+        ("eval-sweep", {"alpha_grid": [0.5, 0.5004]}, "alpha_grid"),
+        ("learn-sweep", {"d": 2}, "d/price_scale"),
+        ("eval-sweep", {"surface": "nope"}, "surface"),
+        ("eval-sweep", {"ladder": [3, 2, 1]}, "ladder/unit_cost"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={v[k]}" for k in v),
+)
+def test_bad_sweep_config_exits_two_before_any_rep(tmp_path, capsys, command, doc, named):
+    config, out = tmp_path / "config.json", tmp_path / "out.csv"
+    config.write_text(json.dumps({"n_grid": [30], "reps": 2, **doc}))
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if "reps" in doc:
+        argv += ["--reps", str(doc["reps"])]  # as given on the command line
+    assert main(argv) == 2
+    assert f"bad config: {named}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parallel_sweep_reproduces_the_serial_one(tmp_path):
     outs = []
     for workers in (1, 2):

@@ -54,7 +54,7 @@ def test_min_variance_matches_qp_oracle_worked_case():
     fy = OutcomeDist(np.array([1 / 3, 1 / 6, 1 / 6, 1 / 3]))
     closed = min_variance_reweight(transfer, fy)
     numerical = qp_min_variance(transfer, fy)
-    assert np.max(np.abs(closed.mat - numerical)) < 1e-6
+    assert np.max(np.abs(closed - numerical)) < 1e-6
 
 
 def test_min_variance_beats_null_space_perturbations():
@@ -66,7 +66,7 @@ def test_min_variance_beats_null_space_perturbations():
     nbasis = left_null_basis(transfer)
     for _ in range(1000):
         z = rng.standard_normal((transfer.m + 1, nbasis.shape[1]))
-        perturbed = r.mat + z @ nbasis.T
+        perturbed = r + z @ nbasis.T
         c = perturbed.T @ lv
         var = float(fy.probs @ (c * c)) - float(fy.probs @ c) ** 2
         assert var >= base - 1e-10
@@ -111,7 +111,7 @@ def test_ips_generalized_inverse_identity():
     for _ in range(30):
         ladder, pi0, policy, _, transfer, lv = _random_setup(rng)
         r = ips_reweight(pi0)
-        assert np.max(np.abs(transfer.mat.T @ (r.mat.T @ lv) - lv)) < 1e-9
+        assert np.max(np.abs(transfer.mat.T @ (r.T @ lv) - lv)) < 1e-9
 
 
 def test_ips_minimum_variance_when_nobody_buys():
@@ -149,7 +149,7 @@ def test_cips_generalized_inverse_identity():
     for _ in range(30):
         _, pi0, _, _, transfer, lv = _random_setup(rng)
         r = cips_reweight(pi0)
-        assert np.max(np.abs(transfer.mat.T @ (r.mat.T @ lv) - lv)) < 1e-9
+        assert np.max(np.abs(transfer.mat.T @ (r.T @ lv) - lv)) < 1e-9
 
 
 def test_cips_minimum_variance_when_everyone_buys():
@@ -173,8 +173,8 @@ def test_switching_endpoints_and_linearity():
     _, pi0, _, fv, transfer, lv = _random_setup(rng)
     mv = min_variance_reweight(transfer, OutcomeDist(transfer.mat @ fv.probs))
     rob = robust_reweight(transfer)
-    assert np.array_equal(switching_reweight(mv, rob, 1.0).mat, mv.mat)
-    assert np.array_equal(switching_reweight(mv, rob, 0.0).mat, rob.mat)
+    assert np.array_equal(switching_reweight(mv, rob, 1.0), mv)
+    assert np.array_equal(switching_reweight(mv, rob, 0.0), rob)
     half = switching_reweight(mv, rob, 0.5)
     assert left_inverse_defect(half, transfer) < 1e-9
     c = corrupted_loss_vector(half, lv)
@@ -192,7 +192,7 @@ def test_dr_decomposition_sums_to_min_variance():
         _, pi0, _, fv, transfer, _ = _random_setup(rng, m=m)
         parts = dr_decomposition(transfer, fv, pi0)
         mv = min_variance_reweight(transfer, OutcomeDist(transfer.mat @ fv.probs))
-        assert np.max(np.abs(mv.mat - parts.combined())) < 1e-8
+        assert np.max(np.abs(mv - parts.combined())) < 1e-8
 
 
 def test_dr_direct_part_is_expected_plugin_reward():

@@ -4,7 +4,6 @@ import pytest
 from priceloss.demand import FittedDemandModel
 from priceloss.estimators import (
     EstimatorKind,
-    ReweightMatrix,
     cips_reweight,
     ips_reweight,
     min_variance_reweight,
@@ -56,10 +55,7 @@ def test_valuation_loss_vector_zero_margin():
 
 def test_corrupted_loss_vector_worked_example():
     # the feasible cascade matrix from the two-price example
-    r = ReweightMatrix(
-        np.array([[0.0, 0.0, 2.0, 0.0], [2.0, -2.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]]),
-        EstimatorKind.IPS,
-    )
+    r = np.array([[0.0, 0.0, 2.0, 0.0], [2.0, -2.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
     out = corrupted_loss_vector(r, np.array([0.0, -0.4, -1.6]))
     assert np.allclose(out, [-0.8, -2.4, 0.0, 0.0])
 
@@ -162,6 +158,25 @@ def test_batched_losses_agree_with_reference(kind):
     fast = per_record_losses(ds, pm, ladder, kind, model, weight)
     slow = per_record_losses_reference(ds, pm, ladder, kind, model, weight)
     assert np.max(np.abs(fast - slow)) < 1e-9
+
+
+@pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda kind: kind.value)
+def test_reference_runs_on_propensity_rows_within_the_simplex_tolerance(kind):
+    from priceloss.demand import fit_tlearner
+
+    ds, ladder = _synthetic_dataset(n=120, seed=1)
+    model = fit_tlearner(ds, ladder)
+    # Rows summing to 1 + 5e-10 pass the 1e-9 simplex check, as in read_csv.
+    ds.propensities = ds.propensities * (1.0 + 5e-10)
+    pm = np.random.default_rng(2).dirichlet(np.ones(ladder.m), size=ds.n)
+    weight = 0.37 if kind == EstimatorKind.SWITCHING else None
+    fast = per_record_losses(ds, pm, ladder, kind, model, weight)
+    slow = per_record_losses_reference(ds, pm, ladder, kind, model, weight)
+    # The exact left inverse of a transfer matrix whose columns sum to s
+    # scales the direct-method value (at most the top margin) by 1/s, and the
+    # closed form does not, so the two paths part by up to |s - 1| * margin.
+    gap = np.abs(ds.propensities.sum(axis=1) - 1.0) * ladder.margins.max()
+    assert np.all(np.abs(fast - slow) <= 1e-9 + gap)
 
 
 def test_min_variance_is_the_doubly_robust_reward_without_outcome_floor():

@@ -16,6 +16,7 @@ from priceloss.policy import (
     ConstantPolicy,
     GreedyDemandPolicy,
     LinearSoftmaxPolicy,
+    WEIGHT_GRID,
     TrainingDiverged,
     _StackedErm,
     _damped_newton_descent,
@@ -247,17 +248,6 @@ def _mv_and_robust(ds, model):
     )
 
 
-def test_select_weight_singleton_grid():
-    ds = _dataset(n=60, seed=7)
-    model = fit_tlearner(ds, LADDER)
-    pm = np.full((ds.n, 5), 0.2)
-    assert select_switching_weight(pm, *_mv_and_robust(ds, model), grid=[0.5]) == 0.5
-    assert (
-        select_switching_weight_for_training(ds.features, *_mv_and_robust(ds, model), grid=[0.5])
-        == 0.5
-    )
-
-
 def test_select_weight_prefers_exact_plugin():
     # feed the true outcome law as the plug-in: the minimum-variance matrix is
     # genuinely minimum variance, so the variance criterion picks c near 1
@@ -330,11 +320,8 @@ def _cv_choice_one_fit_at_a_time(ds, demand, grid, folds):
 def test_stacked_cross_validation_matches_one_fit_at_a_time(seed):
     ds = _dataset(n=120, seed=seed)
     demand = fit_tlearner(_dataset(n=100, seed=seed + 100), LADDER)
-    grid = tuple(np.linspace(0.0, 1.0, 5))
-    expected = _cv_choice_one_fit_at_a_time(ds, demand, grid, 4)
-    chosen = select_switching_weight_for_training(
-        ds.features, *_mv_and_robust(ds, demand), grid=grid, folds=4
-    )
+    expected = _cv_choice_one_fit_at_a_time(ds, demand, WEIGHT_GRID, 4)
+    chosen = select_switching_weight_for_training(ds.features, *_mv_and_robust(ds, demand), folds=4)
     assert chosen == expected
 
 

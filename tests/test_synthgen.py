@@ -74,8 +74,8 @@ def test_generated_outcomes_are_monotone_and_consistent():
     rng = np.random.default_rng(3)
     surface = sample_surface(rng, SurfaceKind.BASE, 5)
     ds = generate_dataset(surface, GenConfig(n=2000, d=5), rng)
-    report = validate(ds)
-    assert report.ok  # consistency holds for every record
+    assert np.array_equal(ds.sold, ds.price_index <= ds.valuations)  # consistency
+    assert validate(ds).size == 0  # overlap
     assert np.all(ds.valuations >= 0)
     assert np.all(ds.valuations <= 5)
     assert np.array_equal(ds.sold, ds.price_index <= ds.valuations)

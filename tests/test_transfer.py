@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from priceloss.ladder import Propensities
-from priceloss.transfer import OverlapError, build_transfer
+from priceloss.ladder import Propensities, SimplexError
+from priceloss.transfer import build_transfer
 
 
 def test_two_price_uniform_matches_worked_layout():
@@ -29,9 +29,15 @@ def test_column_sums_are_one():
 
 
 def test_zero_propensity_rejected():
-    with pytest.raises(Exception):
-        # the simplex check fires first; either error refuses the input
+    with pytest.raises(SimplexError):
+        # a Propensities is strictly positive, so no transfer matrix is built
         build_transfer(Propensities(np.array([1.0, 0.0])))
+
+
+def test_columns_sum_to_the_propensity_total_within_the_simplex_tolerance():
+    pi0 = Propensities(np.array([0.2, 0.3, 0.5 + 5e-10]))
+    t = build_transfer(pi0)
+    assert np.allclose(t.mat.sum(axis=0), pi0.probs.sum(), rtol=0.0, atol=1e-15)
 
 
 def test_push_forward_uniform_valuations():
