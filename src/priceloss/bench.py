@@ -81,12 +81,12 @@ class BenchConfig:
         for fields, check in (
             ("reps", lambda: _at_least(self.reps, 1)),
             ("cv_folds", lambda: _at_least(self.cv_folds, 2)),
-            ("n_grid", lambda: [GenConfig(n=n) for n in self.n_grid]),
+            ("n_grid", lambda: [GenConfig(n=n) for n in _nonempty(self.n_grid)]),
             ("n_policy_train", lambda: GenConfig(n=self.n_policy_train)),
             ("n_demand_fit", lambda: GenConfig(n=self.n_demand_fit)),
             ("test_size", lambda: GenConfig(n=self.test_size)),
             ("ladder/unit_cost", self.price_ladder),
-            ("estimators", lambda: [EstimatorKind(name) for name in self.estimators]),
+            ("estimators", lambda: [EstimatorKind(name) for name in _nonempty(self.estimators)]),
             ("surface", lambda: SurfaceKind(self.surface)),
             (
                 "d/price_scale",
@@ -102,9 +102,12 @@ class BenchConfig:
                 raise ValueError(f"{fields}: {exc}") from None
 
     def _check_alphas(self) -> None:
-        """Each alpha is a blend weight, and no two share an RNG stream."""
+        """A given grid is nonempty, each alpha is a blend weight, and no two
+        share an RNG stream."""
+        if self.alpha_grid is None:
+            return
         alphas: dict[int, float] = {}
-        for alpha in self.alpha_grid or ():
+        for alpha in _nonempty(self.alpha_grid):
             blend_alpha(None, alpha)  # only checks the range here
             key = _stream_key(alpha)
             if key in alphas:
@@ -146,6 +149,12 @@ def _at_least(value, low) -> None:
         raise ValueError(f"need at least {low}, got {value!r}")
 
 
+def _nonempty(values: tuple) -> tuple:
+    if not values:
+        raise ValueError("need at least one entry")
+    return values
+
+
 def _stream_key(k: float) -> int:
     """The seed entry of a float key: its magnitude to 1e-3, offset when negative."""
     return int(abs(k) * 1000) + (1 << 20) * (k < 0)
@@ -161,11 +170,11 @@ def _rep_rng(seed: int, *keys: float) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _gen_config(cfg: BenchConfig, n: int) -> GenConfig:
+def _gen_config(cfg: BenchConfig, n: int, ladder: PriceLadder) -> GenConfig:
     return GenConfig(
         n=n,
         d=cfg.d,
-        ladder=cfg.price_ladder(),
+        ladder=ladder,
         softmax_scale=cfg.lam,
         surface_kind=SurfaceKind(cfg.surface),
         logit_shift=cfg.shift,
@@ -179,7 +188,7 @@ def _plugin_demand(cfg: BenchConfig, surface, ladder, alpha, rng):
     evaluation sample (and it cannot memorize the records it reweights)."""
     if alpha is not None:
         return blend_alpha(surface.as_model(ladder), alpha)
-    split = generate_dataset(surface, _gen_config(cfg, cfg.n_demand_fit), rng)
+    split = generate_dataset(surface, _gen_config(cfg, cfg.n_demand_fit, ladder), rng)
     return fit_tlearner(split, ladder)
 
 
@@ -192,10 +201,10 @@ def eval_replication(
     surface = sample_surface(
         rng, SurfaceKind(cfg.surface), cfg.d, cfg.shift, cfg.price_scale
     )
-    train_split = generate_dataset(surface, _gen_config(cfg, cfg.n_policy_train), rng)
+    train_split = generate_dataset(surface, _gen_config(cfg, cfg.n_policy_train, ladder), rng)
     policy = target_policy_for_evaluation(train_split, ladder)
     demand = _plugin_demand(cfg, surface, ladder, alpha, rng)
-    obs = generate_dataset(surface, _gen_config(cfg, n), rng)
+    obs = generate_dataset(surface, _gen_config(cfg, n, ladder), rng)
     pm = policy.probs_matrix(obs.features)
     truth = true_policy_value(pm, obs.valuations, ladder)
 
@@ -221,9 +230,9 @@ def learn_replication(
     surface = sample_surface(
         rng, SurfaceKind(cfg.surface), cfg.d, cfg.shift, cfg.price_scale
     )
-    obs = generate_dataset(surface, _gen_config(cfg, n), rng)
+    obs = generate_dataset(surface, _gen_config(cfg, n, ladder), rng)
     demand = _plugin_demand(cfg, surface, ladder, alpha, rng)
-    test = generate_dataset(surface, _gen_config(cfg, cfg.test_size), rng)
+    test = generate_dataset(surface, _gen_config(cfg, cfg.test_size, ladder), rng)
 
     per_kind = estimator_coefficients(
         obs,

@@ -11,7 +11,9 @@ constant pessimist.
 ``fit_tlearner`` fits the T-learner: on each rung's own records, one logistic
 regression with an L2 penalty. Each rung's objective is strictly convex, so
 the fit is its exact optimum, reached by Newton steps that all rungs take
-together with one batched solve per step.
+together. The rows are sorted by rung once, so each rung owns one contiguous
+slice; a step evaluates one ``sigmoid`` over all rows and ends with one
+batched solve.
 """
 
 from __future__ import annotations
@@ -43,11 +45,16 @@ def clamp_probs(p: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """``1 / (1 + exp(-z))`` for z >= 0 and ``exp(z) / (1 + exp(z))`` below,
+    without a branch: ``exp`` only sees -|z|, so it cannot overflow. The
+    work is done in place, so it needs two arrays of z's size."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.abs(z, out=np.empty_like(z))
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -97,10 +104,13 @@ def fit_tlearner(dataset: Dataset, ladder: PriceLadder) -> FittedDemandModel:
 
     Every rung with records starts from zero weights, and all of them take
     Newton steps together until each penalized gradient is below
-    ``GRAD_TOL``. Rungs with no records predict the pooled sale rate across
-    all prices (clamped), which keeps small-n runs well defined. Raises
-    ``ArithmeticError`` if the fit has not converged within
-    ``MAX_NEWTON_STEPS``.
+    ``GRAD_TOL``. The rows are sorted by rung once (stably, so each rung
+    keeps its rows' order), and each step evaluates one ``sigmoid`` over all
+    of them; each rung's gradient and Hessian come from its own slice, so
+    its weights are exactly those of fitting it alone. Rungs with no
+    records predict the pooled sale rate across all prices (clamped), which
+    keeps small-n runs well defined. Raises ``ArithmeticError`` if the fit
+    has not converged within ``MAX_NEWTON_STEPS``.
     """
     if dataset.n == 0:
         raise ValueError("cannot fit a demand model on an empty dataset")
@@ -108,22 +118,37 @@ def fit_tlearner(dataset: Dataset, ladder: PriceLadder) -> FittedDemandModel:
     weights = np.zeros((ladder.m, dataset.d + 1))
     weights[:, -1] = np.log(pooled / (1.0 - pooled))
 
-    features_bias = np.hstack([dataset.features, np.ones((dataset.n, 1))])
-    sold = dataset.sold.astype(np.float64)
-    rows = [dataset.price_index == j for j in range(1, ladder.m + 1)]
-    fitted = [j for j in range(ladder.m) if rows[j].any()]
-    groups = [(features_bias[rows[j]], sold[rows[j]]) for j in fitted]
+    order = np.argsort(dataset.price_index, kind="stable")
+    bounds = np.searchsorted(dataset.price_index[order], np.arange(1, ladder.m + 2))
+    features_bias = np.empty((dataset.n, dataset.d + 1))
+    features_bias[:, :-1] = dataset.features[order]
+    features_bias[:, -1] = 1.0
+    sold = dataset.sold[order].astype(np.float64)
+    fitted = [j for j in range(ladder.m) if bounds[j] < bounds[j + 1]]
+    # Each step writes z, the residuals and the curvatures in place, so each
+    # rung's views of them (and of its features) are taken once.
+    z, resid, curv = np.zeros(dataset.n), np.empty(dataset.n), np.empty(dataset.n)
+    rungs = [
+        (features_bias[r], z[r], resid[r], curv[r], r.stop - r.start)
+        for r in (slice(bounds[j], bounds[j + 1]) for j in fitted)
+    ]
     w = np.zeros((len(fitted), dataset.d + 1))
     grad = np.empty_like(w)
     hess = np.empty((len(fitted), dataset.d + 1, dataset.d + 1))
     ridge = L2_PENALTY * np.eye(dataset.d + 1)
     active = np.ones(len(fitted), dtype=bool)
     for _ in range(MAX_NEWTON_STEPS):
-        for k in np.flatnonzero(active):
-            x, y = groups[k]
-            p = sigmoid(x @ w[k])
-            grad[k] = x.T @ (p - y) / y.size + L2_PENALTY * w[k]
-            hess[k] = (x.T * (p * (1.0 - p))) @ x / y.size + ridge
+        live = np.flatnonzero(active)
+        for k in live:
+            x, zk = rungs[k][:2]
+            zk[:] = x @ w[k]
+        p = sigmoid(z)
+        np.subtract(p, sold, out=resid)
+        np.multiply(p, 1.0 - p, out=curv)
+        for k in live:
+            x, _, rk, ck, size = rungs[k]
+            grad[k] = x.T @ rk / size + L2_PENALTY * w[k]
+            hess[k] = (x.T * ck) @ x / size + ridge
         # A rung stops once its gradient is small, so each rung's weights are
         # those of fitting it alone. A non-finite gradient never stops.
         active &= ~(np.max(np.abs(grad), axis=1) < GRAD_TOL)

@@ -387,23 +387,29 @@ def select_switching_weight(
     """Evaluation-mode choice: the weight with the lowest cross-fold variance.
 
     ``coef_mv`` and ``coef_rob`` are the dataset's mv and robust loss
-    coefficients. The per-record losses of these two mixture endpoints are
-    computed once; the candidate's loss is their convex mix, and its
-    empirical variance is averaged over held-out folds.
+    coefficients. Ties go to the earliest weight in ``WEIGHT_GRID``.
+    """
+    scores = _cross_fold_variances(policy_matrix, coef_mv, coef_rob, folds)
+    return WEIGHT_GRID[int(np.argmin(scores))]
+
+
+def _cross_fold_variances(
+    policy_matrix: np.ndarray, coef_mv: np.ndarray, coef_rob: np.ndarray, folds: int
+) -> np.ndarray:
+    """Each ``WEIGHT_GRID`` weight's loss variance, averaged over the folds.
+
+    The per-record losses of the two mixture endpoints are computed once;
+    each weight's loss is their convex mix, one row per weight, and each
+    fold's variance is taken on a strided view of those rows.
     """
     pm = np.atleast_2d(policy_matrix)
     loss_mv = np.sum(pm * coef_mv, axis=1)
     loss_rob = np.sum(pm * coef_rob, axis=1)
-    n = loss_mv.shape[0]
-    slices = _fold_slices(n, min(folds, n))
-    best_c, best_var = WEIGHT_GRID[0], np.inf
-    for c in WEIGHT_GRID:
-        mixed = c * loss_mv + (1.0 - c) * loss_rob
-        fold_vars = [float(np.var(mixed[s])) for s in slices if s.size > 0]
-        score = float(np.mean(fold_vars))
-        if score < best_var:
-            best_c, best_var = c, score
-    return best_c
+    c = np.asarray(WEIGHT_GRID)[:, None]
+    mixed = c * loss_mv + (1.0 - c) * loss_rob
+    f = min(folds, loss_mv.shape[0])
+    fold_vars = np.stack([np.var(mixed[:, k::f], axis=1) for k in range(f)], axis=1)
+    return fold_vars.mean(axis=1)
 
 
 def select_switching_weight_for_training(

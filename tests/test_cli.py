@@ -300,6 +300,9 @@ def test_removed_experiment_key_exits_two_and_is_named(tmp_path, capsys):
         ("learn-sweep", {"d": 2}, "d/price_scale"),
         ("eval-sweep", {"surface": "nope"}, "surface"),
         ("eval-sweep", {"ladder": [3, 2, 1]}, "ladder/unit_cost"),
+        ("eval-sweep", {"estimators": []}, "estimators"),
+        ("eval-sweep", {"n_grid": []}, "n_grid"),
+        ("eval-sweep", {"alpha_grid": []}, "alpha_grid"),
     ],
     ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={v[k]}" for k in v),
 )

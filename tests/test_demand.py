@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,10 +140,22 @@ def test_fit_is_the_exact_penalized_optimum():
 
 
 def test_joint_fit_matches_each_rung_fitted_alone():
-    ds = _dataset(n=400, seed=14)
+    base = _dataset(n=400, seed=14)
+    price_index = base.price_index.copy()
+    price_index[price_index == 3] = 2  # rung 3 has no records
+    price_index[np.flatnonzero(price_index == 4)[1:]] = 5  # rung 4 has one
+    ds = Dataset(
+        features=base.features,
+        price_index=price_index,
+        sold=base.sold,
+        propensities=base.propensities,
+    )
+    assert np.any(np.diff(ds.price_index) < 0)  # rows are not sorted by rung
     ladder = PriceLadder(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
     joint = fit_tlearner(ds, ladder)
-    for j in range(ladder.m):
+    pooled = clamp_probs(ds.sold.mean())
+    assert joint.weights[2].tolist() == [0.0] * ds.d + [np.log(pooled / (1.0 - pooled))]
+    for j in (0, 1, 3, 4):
         rows = ds.price_index == j + 1
         alone = Dataset(
             features=ds.features[rows],
@@ -150,7 +164,20 @@ def test_joint_fit_matches_each_rung_fitted_alone():
             propensities=np.ones((rows.sum(), 1)),
         )
         single = fit_tlearner(alone, PriceLadder(ladder.prices[j : j + 1]))
-        assert np.max(np.abs(joint.weights[j] - single.weights[0])) < 1e-10
+        assert np.array_equal(joint.weights[j], single.weights[0])
+
+
+def test_sigmoid_matches_the_two_branch_formula_without_warnings():
+    edges = [0.0, -0.0, 709.0, -709.0, 746.0, -746.0, np.inf, -np.inf, 5e-324, -5e-324]
+    z = np.concatenate([edges, 10.0 * np.random.default_rng(16).standard_normal(10_000)])
+    expected = np.empty_like(z)
+    pos = z >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(z)
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def test_hand_written_json_predicts_logistic_per_rung():

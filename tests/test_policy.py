@@ -19,6 +19,7 @@ from priceloss.policy import (
     WEIGHT_GRID,
     TrainingDiverged,
     _StackedErm,
+    _cross_fold_variances,
     _damped_newton_descent,
     _fold_slices,
     optimize_policy,
@@ -276,6 +277,42 @@ def test_select_weight_shuns_adversarial_plugin():
     c_wrong = select_switching_weight(pm, *_mv_and_robust(ds, wrong))
     c_right = select_switching_weight(pm, *_mv_and_robust(ds, surface.as_model(LADDER)))
     assert c_wrong < c_right
+
+
+def _select_weight_one_at_a_time(pm, coef_mv, coef_rob, folds):
+    """The selector as one loop over weights and folds: the reference for the
+    batched scores, which must match it bit for bit."""
+    loss_mv = np.sum(pm * coef_mv, axis=1)
+    loss_rob = np.sum(pm * coef_rob, axis=1)
+    n = loss_mv.shape[0]
+    slices = _fold_slices(n, min(folds, n))
+    best_c, best_var, scores = WEIGHT_GRID[0], np.inf, []
+    for c in WEIGHT_GRID:
+        mixed = c * loss_mv + (1.0 - c) * loss_rob
+        score = float(np.mean([float(np.var(mixed[s])) for s in slices if s.size > 0]))
+        scores.append(score)
+        if score < best_var:
+            best_c, best_var = c, score
+    return best_c, scores
+
+
+@pytest.mark.parametrize("folds", [2, 5])
+@pytest.mark.parametrize("n", [1, 2, 7, 500])
+def test_select_weight_matches_the_loop_over_weights(n, folds):
+    rng = np.random.default_rng(100 * n + folds)
+    pm = rng.dirichlet(np.ones(LADDER.m), size=n)
+    coef_mv = rng.standard_normal((n, LADDER.m))
+    for coef_rob in (rng.standard_normal((n, LADDER.m)), coef_mv.copy()):
+        expected, scores = _select_weight_one_at_a_time(pm, coef_mv, coef_rob, folds)
+        assert select_switching_weight(pm, coef_mv, coef_rob, folds) == expected
+        assert _cross_fold_variances(pm, coef_mv, coef_rob, folds).tolist() == scores
+    # Equal endpoints whose mix is exact for every weight (random equal
+    # endpoints are mixed with rounding, which can break the tie): every
+    # score is 0, and the tie goes to the first weight.
+    zero = np.zeros((n, LADDER.m))
+    expected, scores = _select_weight_one_at_a_time(pm, zero, zero, folds)
+    assert scores == [0.0] * len(WEIGHT_GRID) and expected == WEIGHT_GRID[0]
+    assert select_switching_weight(pm, zero, zero, folds) == WEIGHT_GRID[0]
 
 
 def test_policy_serialization_round_trip(tmp_path):
