@@ -349,6 +349,17 @@ def run_learn_sweep(cfg: BenchConfig) -> list[ResultRow]:
     return _run_sweep(cfg, "learn-sweep", learn_replication, "reward", "reward_mean")
 
 
+def sales_regime_estimators(cfg: BenchConfig) -> tuple[str, ...]:
+    """The configured estimators that ``run_sales_regime`` runs: ips and
+    robust. Raises ``ValueError`` naming ``estimators`` if it lists neither."""
+    estimators = tuple(e for e in cfg.estimators if e in ("ips", "robust"))
+    if not estimators:
+        raise ValueError(
+            f"estimators: sales-regime runs only ips and robust, got {list(cfg.estimators)}"
+        )
+    return estimators
+
+
 def run_sales_regime(cfg: BenchConfig) -> list[ResultRow]:
     """Evaluation and optimization at logit shifts -10 / 0 / +10, n = 500.
 
@@ -356,10 +367,7 @@ def run_sales_regime(cfg: BenchConfig) -> list[ResultRow]:
     """
     rows: list[ResultRow] = []
     shifts = (-10.0, 0.0, 10.0)
-    estimators = tuple(e for e in cfg.estimators if e in ("ips", "robust")) or (
-        "ips",
-        "robust",
-    )
+    estimators = sales_regime_estimators(cfg)
     n = cfg.n_grid[0] if len(cfg.n_grid) == 1 else 500
     lreps = max(1, cfg.reps // 25)
     for shift in shifts:

@@ -91,18 +91,23 @@ def cmd_oracle_check(args) -> int:
     return 1 if failures else 0
 
 
-def _load_bench_config(args) -> bench.BenchConfig:
+def _load_bench_config(args, check=None) -> bench.BenchConfig:
+    """Load the sweep config; ``check(cfg)`` may add a runner's own checks."""
     overrides = {"seed": args.seed, "reps": args.reps}
     try:
         if args.config:
-            return bench.load_config(args.config, **overrides)
-        return bench.config_from_dict({}, **overrides)
+            cfg = bench.load_config(args.config, **overrides)
+        else:
+            cfg = bench.config_from_dict({}, **overrides)
+        if check is not None:
+            check(cfg)
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         raise InputError(f"bad config: {exc}") from exc
+    return cfg
 
 
-def cmd_sweep(args, runner) -> int:
-    cfg = _load_bench_config(args)
+def cmd_sweep(args, runner, check=None) -> int:
+    cfg = _load_bench_config(args, check)
     rows = runner(cfg)
     bench.write_rows(rows, args.out or sys.stdout)
     return 0
@@ -253,7 +258,7 @@ def main(argv=None) -> int:
         if args.command == "learn-sweep":
             return cmd_sweep(args, bench.run_learn_sweep)
         if args.command == "sales-regime":
-            return cmd_sweep(args, bench.run_sales_regime)
+            return cmd_sweep(args, bench.run_sales_regime, bench.sales_regime_estimators)
         if args.command == "gen":
             return cmd_gen(args)
         if args.command == "eval-csv":

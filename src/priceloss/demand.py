@@ -11,9 +11,10 @@ constant pessimist.
 ``fit_tlearner`` fits the T-learner: on each rung's own records, one logistic
 regression with an L2 penalty. Each rung's objective is strictly convex, so
 the fit is its exact optimum, reached by Newton steps that all rungs take
-together. The rows are sorted by rung once, so each rung owns one contiguous
-slice; a step evaluates one ``sigmoid`` over all rows and ends with one
-batched solve.
+together. The rows are sorted by rung once and laid out as equal-length row
+blocks, each rung's last block padded with zero rows, so a step is a fixed
+number of batched numpy calls over all blocks (one ``sigmoid`` among them)
+and ends with one batched solve, whatever the number of rungs.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ PROB_CLAMP = 1e-4
 L2_PENALTY = 1e-3
 GRAD_TOL = 1e-8
 MAX_NEWTON_STEPS = 50
+
+# The most rows in one block of the Newton step's batched products (see
+# ``fit_tlearner``). Each rung pads under one block. At 1024, a fit with at
+# most 1024 rows per rung (every replication fit) is one block per rung, and
+# a 100k-row fit on five rungs pads at most 5 * 1023 rows. Much smaller
+# blocks add per-block overhead; much larger ones pad more than they save.
+ROW_BLOCK = 1024
 
 # Sale probability of the constant "pessimist" model that ``blend_alpha``
 # mixes in.
@@ -104,13 +112,23 @@ def fit_tlearner(dataset: Dataset, ladder: PriceLadder) -> FittedDemandModel:
 
     Every rung with records starts from zero weights, and all of them take
     Newton steps together until each penalized gradient is below
-    ``GRAD_TOL``. The rows are sorted by rung once (stably, so each rung
-    keeps its rows' order), and each step evaluates one ``sigmoid`` over all
-    of them; each rung's gradient and Hessian come from its own slice, so
-    its weights are exactly those of fitting it alone. Rungs with no
-    records predict the pooled sale rate across all prices (clamped), which
-    keeps small-n runs well defined. Raises ``ArithmeticError`` if the fit
-    has not converged within ``MAX_NEWTON_STEPS``.
+    ``GRAD_TOL``; a rung whose gradient is below it keeps its weights from
+    then on. Rows whose ``price_index`` lies outside 1..m are ignored. Rungs
+    with no records predict the pooled sale rate across all prices
+    (clamped), which keeps small-n runs well defined. Raises
+    ``ArithmeticError`` if the fit has not converged within
+    ``MAX_NEWTON_STEPS``.
+
+    The rows are sorted by rung (stably, so each rung keeps its rows' order)
+    and cut into blocks of ``length = min(largest rung, ROW_BLOCK)`` rows;
+    each rung's last block is padded with zero rows, which add nothing to a
+    gradient or a Hessian, so padding stays under m * ``ROW_BLOCK`` rows. A
+    Newton step makes a fixed number of numpy calls whatever m is: batched
+    products over all blocks for the scores, gradients and Hessians, one
+    ``sigmoid``, one ``np.add.reduceat`` per quantity to sum each rung's
+    blocks, and one batched solve over the rungs still stepping. Each rung's
+    sums are taken block by block, so its weights match those of fitting it
+    alone up to rounding.
     """
     if dataset.n == 0:
         raise ValueError("cannot fit a demand model on an empty dataset")
@@ -120,37 +138,41 @@ def fit_tlearner(dataset: Dataset, ladder: PriceLadder) -> FittedDemandModel:
 
     order = np.argsort(dataset.price_index, kind="stable")
     bounds = np.searchsorted(dataset.price_index[order], np.arange(1, ladder.m + 2))
-    features_bias = np.empty((dataset.n, dataset.d + 1))
-    features_bias[:, :-1] = dataset.features[order]
-    features_bias[:, -1] = 1.0
-    sold = dataset.sold[order].astype(np.float64)
-    fitted = [j for j in range(ladder.m) if bounds[j] < bounds[j + 1]]
-    # Each step writes z, the residuals and the curvatures in place, so each
-    # rung's views of them (and of its features) are taken once.
-    z, resid, curv = np.zeros(dataset.n), np.empty(dataset.n), np.empty(dataset.n)
-    rungs = [
-        (features_bias[r], z[r], resid[r], curv[r], r.stop - r.start)
-        for r in (slice(bounds[j], bounds[j + 1]) for j in fitted)
-    ]
-    w = np.zeros((len(fitted), dataset.d + 1))
-    grad = np.empty_like(w)
-    hess = np.empty((len(fitted), dataset.d + 1, dataset.d + 1))
+    sizes = np.diff(bounds)
+    fitted = np.flatnonzero(sizes)
+    if fitted.size == 0:
+        return FittedDemandModel(weights=weights)
+    sizes = sizes[fitted]
+    length = min(int(sizes.max()), ROW_BLOCK)
+    blocks = -(-sizes // length)
+    first = np.cumsum(blocks) - blocks  # each rung's first block
+    block_rung = np.repeat(np.arange(fitted.size), blocks)
+    # Sorted row r of fitted rung k lands in flat slot r - bounds[k] +
+    # first[k] * length of the (blocks, length) grid.
+    rows = order[bounds[0] : bounds[-1]]
+    slots = np.arange(bounds[0], bounds[-1]) - np.repeat(
+        bounds[fitted] - first * length, sizes
+    )
+    block, pos = np.divmod(slots, length)
+    # Features with bias, transposed per block: (blocks, d + 1, length).
+    xt = np.zeros((block_rung.size, dataset.d + 1, length))
+    xt[block, :-1, pos] = dataset.features[rows]
+    xt[block, -1, pos] = 1.0
+    sold = np.zeros((block_rung.size, length))
+    sold[block, pos] = dataset.sold[rows]
+    x = xt.transpose(0, 2, 1)
+    scaled = np.empty_like(xt)
+
+    w = np.zeros((fitted.size, dataset.d + 1))
     ridge = L2_PENALTY * np.eye(dataset.d + 1)
-    active = np.ones(len(fitted), dtype=bool)
+    active = np.ones(fitted.size, dtype=bool)
     for _ in range(MAX_NEWTON_STEPS):
-        live = np.flatnonzero(active)
-        for k in live:
-            x, zk = rungs[k][:2]
-            zk[:] = x @ w[k]
-        p = sigmoid(z)
-        np.subtract(p, sold, out=resid)
-        np.multiply(p, 1.0 - p, out=curv)
-        for k in live:
-            x, _, rk, ck, size = rungs[k]
-            grad[k] = x.T @ rk / size + L2_PENALTY * w[k]
-            hess[k] = (x.T * ck) @ x / size + ridge
-        # A rung stops once its gradient is small, so each rung's weights are
-        # those of fitting it alone. A non-finite gradient never stops.
+        p = sigmoid(np.matmul(w[block_rung, None, :], xt)[:, 0])
+        grad = np.add.reduceat(np.matmul(xt, (p - sold)[..., None])[..., 0], first)
+        grad = grad / sizes[:, None] + L2_PENALTY * w
+        np.multiply(xt, (p * (1.0 - p))[:, None, :], out=scaled)
+        hess = np.add.reduceat(np.matmul(scaled, x), first) / sizes[:, None, None] + ridge
+        # A rung stops once its gradient is small; a non-finite one never stops.
         active &= ~(np.max(np.abs(grad), axis=1) < GRAD_TOL)
         if not active.any():
             break

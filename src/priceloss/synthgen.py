@@ -115,11 +115,10 @@ class GenConfig:
             raise ValueError(f"need n >= 1, got {self.n}")
 
 
-def logging_policy_matrix(
-    surface: DemandSurface, features: np.ndarray, ladder: PriceLadder, scale: float = 5.0
-) -> np.ndarray:
-    """Historic pricing distribution: softmax over scale * demand, (n, m)."""
-    return softmax_rows(scale * surface.demand_matrix(features, ladder.prices))
+def logging_policy_matrix(demand: np.ndarray, scale: float = 5.0) -> np.ndarray:
+    """Historic pricing distribution: softmax over scale * demand, where
+    ``demand`` is the true sale probability at each rung, (n, m)."""
+    return softmax_rows(scale * demand)
 
 
 def _sample_categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -140,7 +139,7 @@ def generate_dataset(
     ladder = config.ladder
     X = rng.standard_normal((config.n, config.d))
     demand = surface.demand_matrix(X, ladder.prices)
-    pi0 = logging_policy_matrix(surface, X, ladder, config.softmax_scale)
+    pi0 = logging_policy_matrix(demand, config.softmax_scale)
     # One uniform per customer drives the outcome at every price; demand is
     # nonincreasing in price, so the outcome vector is monotone and the
     # valuation is just the number of prices the customer accepts.

@@ -303,6 +303,7 @@ def test_removed_experiment_key_exits_two_and_is_named(tmp_path, capsys):
         ("eval-sweep", {"estimators": []}, "estimators"),
         ("eval-sweep", {"n_grid": []}, "n_grid"),
         ("eval-sweep", {"alpha_grid": []}, "alpha_grid"),
+        ("sales-regime", {"estimators": ["mv", "cmix"]}, "estimators"),
     ],
     ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={v[k]}" for k in v),
 )

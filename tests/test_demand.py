@@ -164,7 +164,76 @@ def test_joint_fit_matches_each_rung_fitted_alone():
             propensities=np.ones((rows.sum(), 1)),
         )
         single = fit_tlearner(alone, PriceLadder(ladder.prices[j : j + 1]))
-        assert np.array_equal(joint.weights[j], single.weights[0])
+        # Alone, the rung has another block length, so its sums round differently.
+        assert np.max(np.abs(joint.weights[j] - single.weights[0])) <= 1e-12
+
+
+def _fit_one_rung_at_a_time(dataset, ladder):
+    """The reference for ``fit_tlearner``: each rung's own Newton loop, with
+    its gradient and Hessian summed over all its rows in one product."""
+    pooled = float(clamp_probs(dataset.sold.mean()))
+    weights = np.zeros((ladder.m, dataset.d + 1))
+    weights[:, -1] = np.log(pooled / (1.0 - pooled))
+    ridge = demand.L2_PENALTY * np.eye(dataset.d + 1)
+    for j in range(ladder.m):
+        rows = dataset.price_index == j + 1
+        size = rows.sum()
+        if size == 0:
+            continue
+        x = np.hstack([dataset.features[rows], np.ones((size, 1))])
+        y = dataset.sold[rows].astype(np.float64)
+        w = np.zeros(dataset.d + 1)
+        for _ in range(demand.MAX_NEWTON_STEPS):
+            p = sigmoid(x @ w)
+            grad = x.T @ (p - y) / size + demand.L2_PENALTY * w
+            if np.max(np.abs(grad)) < demand.GRAD_TOL:
+                break
+            hess = (x.T * (p * (1.0 - p))) @ x / size + ridge
+            w = w - np.linalg.solve(hess, grad)
+        else:
+            raise ArithmeticError("reference fit did not converge")
+        weights[j] = w
+    return weights
+
+
+def _with_rung_sizes(sizes, seed, d=4, outside=0):
+    """A dataset whose rung j + 1 has ``sizes[j]`` records, in shuffled row
+    order, plus ``outside`` records priced at 0, m + 1 or -2 (no rung)."""
+    rng = np.random.default_rng(seed)
+    on_ladder = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    price_index = np.concatenate([on_ladder, rng.choice([0, len(sizes) + 1, -2], outside)])
+    rng.shuffle(price_index)
+    n = price_index.size
+    x = rng.standard_normal((n, d))
+    return Dataset(
+        features=x,
+        price_index=price_index,
+        sold=rng.random(n) < 1.0 / (1.0 + np.exp(-(x[:, 0] - 0.2 * price_index))),
+        propensities=np.full((n, len(sizes)), 1.0 / len(sizes)),
+    )
+
+
+@pytest.mark.parametrize(
+    "row_block, sizes, outside",
+    [
+        (7, (20, 0, 7, 1, 8, 14), 9),  # several blocks, exact and one-over fits
+        (7, (3, 5, 1), 0),  # every rung below the block length
+        (1024, (1500, 1024, 1025, 50, 1, 0), 30),  # the default block length
+        (1024, (30, 17, 0, 22, 31), 4),  # one block per rung
+        (1024, (0, 0), 6),  # no record on the ladder
+    ],
+)
+def test_block_fit_matches_the_per_rung_reference(monkeypatch, row_block, sizes, outside):
+    monkeypatch.setattr(demand, "ROW_BLOCK", row_block)
+    ds = _with_rung_sizes(sizes, seed=sum(sizes), outside=outside)
+    assert np.any(np.diff(ds.price_index) < 0)  # rows are not sorted by rung
+    ladder = PriceLadder(np.arange(1.0, len(sizes) + 1.0))
+    got = fit_tlearner(ds, ladder).weights
+    expected = _fit_one_rung_at_a_time(ds, ladder)
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    pooled = clamp_probs(ds.sold.mean())
+    for j in np.flatnonzero(np.asarray(sizes) == 0):
+        assert got[j].tolist() == [0.0] * ds.d + [np.log(pooled / (1.0 - pooled))]
 
 
 def test_sigmoid_matches_the_two_branch_formula_without_warnings():

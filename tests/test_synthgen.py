@@ -50,20 +50,15 @@ def test_surface_dimension_checks():
 def test_logging_policy_uniform_cases():
     surface = DemandSurface(SurfaceKind.BASE, weights=np.zeros(3))
     x = np.array([[1.0, -1.0, 0.0]])  # flat demand across prices
-    pi = logging_policy_matrix(surface, x, LADDER, scale=5.0)
+    pi = logging_policy_matrix(surface.demand_matrix(x, LADDER.prices), scale=5.0)
     assert np.allclose(pi, 0.2)
-    pi0_scale0 = logging_policy_matrix(surface, np.random.default_rng(2).standard_normal((5, 3)), LADDER, scale=0.0)
-    assert np.allclose(pi0_scale0, 0.2)
+    demand = surface.demand_matrix(np.random.default_rng(2).standard_normal((5, 3)), LADDER.prices)
+    assert np.allclose(logging_policy_matrix(demand, scale=0.0), 0.2)
 
 
 def test_logging_policy_softmax_values():
     # demands (0.8, 0.2) at scale 5 -> softmax(4, 1)
-    class TwoPrice(DemandSurface):
-        def demand_matrix(self, features, prices):
-            return np.tile([0.8, 0.2], (np.atleast_2d(features).shape[0], 1))
-
-    surface = TwoPrice(SurfaceKind.BASE, weights=np.zeros(3))
-    pi = logging_policy_matrix(surface, np.zeros((1, 3)), PriceLadder(np.array([1.0, 2.0])), scale=5.0)
+    pi = logging_policy_matrix(np.array([[0.8, 0.2]]), scale=5.0)
     expected = np.exp([4.0, 1.0])
     expected /= expected.sum()
     assert np.max(np.abs(pi[0] - expected)) < 1e-4
