@@ -72,6 +72,9 @@ class BenchConfig:
     n_policy_train: int = 100  # split used to build the evaluated policy
     n_demand_fit: int = 100  # independent split used to fit the plug-in demand
     test_size: int = 10000
+    # Folds of cmix's switching-weight rule, the lowest cross-fold loss
+    # variance: at the evaluated policy when evaluating, and at a
+    # robust-trained pilot policy when learning.
     cv_folds: int = 5
     workers: int = 1
 
@@ -82,6 +85,7 @@ class BenchConfig:
             ("reps", lambda: _at_least(self.reps, 1)),
             ("cv_folds", lambda: _at_least(self.cv_folds, 2)),
             ("n_grid", lambda: [GenConfig(n=n) for n in _nonempty(self.n_grid)]),
+            ("lam", lambda: GenConfig(n=1, softmax_scale=self.lam)),
             ("n_policy_train", lambda: GenConfig(n=self.n_policy_train)),
             ("n_demand_fit", lambda: GenConfig(n=self.n_demand_fit)),
             ("test_size", lambda: GenConfig(n=self.test_size)),
@@ -94,12 +98,21 @@ class BenchConfig:
                     SurfaceKind(self.surface), np.zeros(self.d), price_scale=self.price_scale
                 ),
             ),
+            ("shift", self._check_shift),
             ("alpha_grid", self._check_alphas),
         ):
             try:
                 check()
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{fields}: {exc}") from None
+
+    def _check_shift(self) -> None:
+        """The shift is a finite logit offset whose RNG stream key exists."""
+        DemandSurface(SurfaceKind(self.surface), np.zeros(self.d), logit_shift=self.shift)
+        try:
+            _stream_key(self.shift)
+        except OverflowError:
+            raise ValueError(f"{self.shift!r} is too large for an RNG stream key") from None
 
     def _check_alphas(self) -> None:
         """A given grid is nonempty, each alpha is a blend weight, and no two
@@ -240,7 +253,7 @@ def learn_replication(
         [EstimatorKind(name) for name in cfg.estimators],
         demand,
         lambda mv, rob: select_switching_weight_for_training(
-            obs.features, mv, rob, folds=cfg.cv_folds
+            obs.features, ladder, mv, rob, folds=cfg.cv_folds
         ),
     )
     out: dict[str, float] = {}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -64,8 +65,8 @@ class PriceLadder:
             raise ValueError("prices must be positive and finite")
         if np.any(np.diff(prices) <= 0):
             raise ValueError("prices must be strictly increasing")
-        if self.unit_cost < 0:
-            raise ValueError("unit cost must be nonnegative")
+        if not math.isfinite(self.unit_cost) or self.unit_cost < 0:
+            raise ValueError(f"unit cost must be nonnegative and finite, got {self.unit_cost!r}")
         if np.any(prices <= self.unit_cost):
             warnings.warn(
                 "some ladder prices do not exceed the unit cost; "

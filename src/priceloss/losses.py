@@ -44,9 +44,9 @@ which equals the formula at its mu.
 ``estimator_coefficients`` is the one place that decides which matrices a
 set of kinds needs and the one place that forms cmix: it builds each matrix
 once, and mixes the mv and robust matrices at the weight its caller chooses
-from those same matrices (by variance for evaluation, by cross-validated
-training for learning). ``loss_coefficients`` at an explicit weight goes
-through it too.
+from those same matrices (the lowest cross-fold loss variance, at the
+evaluated policy for evaluation and at a robust-trained pilot policy for
+learning). ``loss_coefficients`` at an explicit weight goes through it too.
 
 The demand plug-in is any object with ``sale_probs_matrix(features)``. Each
 build calls it once at the records' features; its output must be (n, m)

@@ -19,8 +19,7 @@ evaluates the loss of the problems still descending only, builds the
 m(d + 1)-square Hessians of those whose step was kept, and solves all the
 damped Newton systems with one batched solve; each problem stops on its own
 gradient tolerance (``_StackedErm`` describes how a Hessian is built).
-``optimize_policy`` is the K = 1 call; switching-weight cross-validation
-trains every candidate weight of a fold in one call.
+``optimize_policy`` is the K = 1 call.
 """
 
 from __future__ import annotations
@@ -376,11 +375,6 @@ WEIGHT_GRID = tuple(float(c) for c in np.linspace(0.0, 1.0, 10))
 CV_FOLDS = 5
 
 
-def _fold_slices(n: int, folds: int) -> list[np.ndarray]:
-    idx = np.arange(n)
-    return [idx[f::folds] for f in range(folds)]
-
-
 def select_switching_weight(
     policy_matrix: np.ndarray, coef_mv: np.ndarray, coef_rob: np.ndarray, folds: int = CV_FOLDS
 ) -> float:
@@ -413,27 +407,20 @@ def _cross_fold_variances(
 
 
 def select_switching_weight_for_training(
-    features: np.ndarray, coef_mv: np.ndarray, coef_rob: np.ndarray, folds: int = CV_FOLDS
+    features: np.ndarray,
+    ladder: PriceLadder,
+    coef_mv: np.ndarray,
+    coef_rob: np.ndarray,
+    folds: int = CV_FOLDS,
 ) -> float:
-    """Optimization-mode choice: weight whose trained policy cross-validates best.
+    """Optimization-mode choice: the evaluation rule at a robust pilot policy.
 
     ``coef_mv`` and ``coef_rob`` are the mv and robust loss coefficients of
-    the records with these ``features``. For each candidate weight, train on
-    the complement of each fold and score the held-out estimated loss
-    (without the training penalty) with the same switching estimator; pick
-    the weight with the lowest average held-out loss. Each fold trains all
-    the candidates in one stacked descent.
+    the records with these ``features``. The pilot is the policy trained on
+    the robust coefficients, which need no demand model. The weight is the
+    one ``select_switching_weight`` picks at the pilot's probabilities on the
+    same records: the lowest cross-fold variance of the mixed losses (Wang,
+    Agarwal & Dudik, arXiv:1612.01205).
     """
-    coef_t = np.stack([c * coef_mv.T + (1.0 - c) * coef_rob.T for c in WEIGHT_GRID])
-    Xb = with_bias(features)
-    n = Xb.shape[0]
-    held_out = np.zeros(len(WEIGHT_GRID))
-    for s in _fold_slices(n, min(folds, n)):
-        if s.size == 0 or s.size == n:
-            continue
-        train = np.ones(n, dtype=bool)
-        train[s] = False
-        theta, _, _, _ = _damped_newton_descent(Xb[train], coef_t[:, :, train])
-        probs = softmax_rows(theta @ Xb[s].T)
-        held_out += np.sum(probs * coef_t[:, :, s], axis=(1, 2)) / s.size
-    return WEIGHT_GRID[int(np.argmin(held_out))]
+    pilot = optimize_policy(features, ladder, coef_rob).policy
+    return select_switching_weight(pilot.probs_matrix(features), coef_mv, coef_rob, folds)

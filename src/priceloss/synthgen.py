@@ -11,6 +11,7 @@ each customer has a well-defined valuation index.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,10 @@ class DemandSurface:
             raise ValueError(
                 f"surface {self.kind.value} needs at least {_MIN_DIM[self.kind]} features, got {d}"
             )
-        if self.price_scale <= 0:
-            raise ValueError("price scale must be positive")
+        if not math.isfinite(self.logit_shift):
+            raise ValueError(f"logit shift must be finite, got {self.logit_shift!r}")
+        if not math.isfinite(self.price_scale) or self.price_scale <= 0:
+            raise ValueError(f"price scale must be positive and finite, got {self.price_scale!r}")
 
     @property
     def d(self) -> int:
@@ -113,6 +116,8 @@ class GenConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
+        if not math.isfinite(self.softmax_scale):
+            raise ValueError(f"softmax scale must be finite, got {self.softmax_scale!r}")
 
 
 def logging_policy_matrix(demand: np.ndarray, scale: float = 5.0) -> np.ndarray:

@@ -111,8 +111,8 @@ def test_eval_csv_builds_each_coefficient_matrix_once(tmp_path, monkeypatch):
 
 
 def test_learn_replication_builds_each_coefficient_matrix_once(monkeypatch):
-    # the cmix weight's cross-validation, the cmix training and the mv
-    # training share one mv matrix, so the fitted plug-in runs once
+    # the cmix weight's choice, the cmix training and the mv training
+    # share one mv matrix, so the fitted plug-in runs once
     calls = []
     original = FittedDemandModel.sale_probs_matrix
 
@@ -304,6 +304,13 @@ def test_removed_experiment_key_exits_two_and_is_named(tmp_path, capsys):
         ("eval-sweep", {"n_grid": []}, "n_grid"),
         ("eval-sweep", {"alpha_grid": []}, "alpha_grid"),
         ("sales-regime", {"estimators": ["mv", "cmix"]}, "estimators"),
+        ("eval-sweep", {"lam": float("nan")}, "lam"),
+        ("learn-sweep", {"lam": float("inf")}, "lam"),
+        ("eval-sweep", {"shift": float("nan")}, "shift"),
+        ("eval-sweep", {"shift": 1e308}, "shift"),
+        ("sales-regime", {"shift": float("-inf")}, "shift"),
+        ("eval-sweep", {"price_scale": float("nan")}, "d/price_scale"),
+        ("eval-sweep", {"unit_cost": float("nan")}, "ladder/unit_cost"),
     ],
     ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={v[k]}" for k in v),
 )
@@ -315,6 +322,24 @@ def test_bad_sweep_config_exits_two_before_any_rep(tmp_path, capsys, command, do
         argv += ["--reps", str(doc["reps"])]  # as given on the command line
     assert main(argv) == 2
     assert f"bad config: {named}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lam", "nan"], "softmax scale must be finite"),
+        (["--lam", "inf"], "softmax scale must be finite"),
+        (["--shift", "nan"], "logit shift must be finite"),
+        (["--shift=-inf"], "logit shift must be finite"),
+        (["--unit-cost", "nan"], "unit cost must be nonnegative and finite"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_non_finite_gen_flag_exits_two(tmp_path, capsys, flags, message):
+    out = tmp_path / "data.csv"
+    assert main(["gen", "--n", "5", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -21,7 +21,6 @@ from priceloss.policy import (
     _StackedErm,
     _cross_fold_variances,
     _damped_newton_descent,
-    _fold_slices,
     optimize_policy,
     select_switching_weight,
     select_switching_weight_for_training,
@@ -285,7 +284,8 @@ def _select_weight_one_at_a_time(pm, coef_mv, coef_rob, folds):
     loss_mv = np.sum(pm * coef_mv, axis=1)
     loss_rob = np.sum(pm * coef_rob, axis=1)
     n = loss_mv.shape[0]
-    slices = _fold_slices(n, min(folds, n))
+    f = min(folds, n)
+    slices = [np.arange(n)[k::f] for k in range(f)]
     best_c, best_var, scores = WEIGHT_GRID[0], np.inf, []
     for c in WEIGHT_GRID:
         mixed = c * loss_mv + (1.0 - c) * loss_rob
@@ -339,27 +339,30 @@ def test_non_finite_loss_raises():
         optimize_policy(ds.features, LADDER, coef)
 
 
-def _cv_choice_one_fit_at_a_time(ds, demand, grid, folds):
-    coef_mv, coef_rob = _mv_and_robust(ds, demand)
-    held_out = []
-    for c in grid:
-        coef = c * coef_mv + (1.0 - c) * coef_rob
-        total = 0.0
-        for s in _fold_slices(ds.n, folds):
-            train = np.setdiff1d(np.arange(ds.n), s)
-            result = optimize_policy(ds.features[train], LADDER, coef[train])
-            total += float(np.sum(result.policy.probs_matrix(ds.features[s]) * coef[s]) / s.size)
-        held_out.append(total)
-    return grid[int(np.argmin(held_out))]
-
-
 @pytest.mark.parametrize("seed", [20, 21, 22])
-def test_stacked_cross_validation_matches_one_fit_at_a_time(seed):
+def test_training_weight_is_the_variance_rule_at_the_robust_pilot(seed):
     ds = _dataset(n=120, seed=seed)
     demand = fit_tlearner(_dataset(n=100, seed=seed + 100), LADDER)
-    expected = _cv_choice_one_fit_at_a_time(ds, demand, WEIGHT_GRID, 4)
-    chosen = select_switching_weight_for_training(ds.features, *_mv_and_robust(ds, demand), folds=4)
+    coef_mv, coef_rob = _mv_and_robust(ds, demand)
+    pilot = optimize_policy(ds.features, LADDER, coef_rob).policy
+    expected = select_switching_weight(pilot.probs_matrix(ds.features), coef_mv, coef_rob, 4)
+    chosen = select_switching_weight_for_training(ds.features, LADDER, coef_mv, coef_rob, 4)
     assert chosen == expected
+
+
+def test_training_weight_trains_one_problem_once(monkeypatch):
+    problems = []
+    descent = policy._damped_newton_descent
+
+    def counting(features_bias, coef_t):
+        problems.append(coef_t.shape[0])
+        return descent(features_bias, coef_t)
+
+    monkeypatch.setattr(policy, "_damped_newton_descent", counting)
+    ds = _dataset(n=200, seed=25)
+    demand = fit_tlearner(_dataset(n=100, seed=125), LADDER)
+    select_switching_weight_for_training(ds.features, LADDER, *_mv_and_robust(ds, demand))
+    assert problems == [1]
 
 
 def test_stacked_descent_matches_each_problem_alone():
