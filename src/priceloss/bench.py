@@ -84,11 +84,12 @@ class BenchConfig:
         for fields, check in (
             ("reps", lambda: _at_least(self.reps, 1)),
             ("cv_folds", lambda: _at_least(self.cv_folds, 2)),
-            ("n_grid", lambda: [GenConfig(n=n) for n in _nonempty(self.n_grid)]),
+            ("seed", lambda: _at_least(self.seed, 0)),
+            ("n_grid", lambda: [_at_least(n, 1) for n in _nonempty(self.n_grid)]),
             ("lam", lambda: GenConfig(n=1, softmax_scale=self.lam)),
-            ("n_policy_train", lambda: GenConfig(n=self.n_policy_train)),
-            ("n_demand_fit", lambda: GenConfig(n=self.n_demand_fit)),
-            ("test_size", lambda: GenConfig(n=self.test_size)),
+            ("n_policy_train", lambda: _at_least(self.n_policy_train, 1)),
+            ("n_demand_fit", lambda: _at_least(self.n_demand_fit, 1)),
+            ("test_size", lambda: _at_least(self.test_size, 1)),
             ("ladder/unit_cost", self.price_ladder),
             ("estimators", lambda: [EstimatorKind(name) for name in _nonempty(self.estimators)]),
             ("surface", lambda: SurfaceKind(self.surface)),
@@ -100,6 +101,7 @@ class BenchConfig:
             ),
             ("shift", self._check_shift),
             ("alpha_grid", self._check_alphas),
+            ("workers", lambda: _at_least(self.workers, 1)),
         ):
             try:
                 check()
@@ -158,6 +160,9 @@ def config_from_dict(doc: dict, **overrides) -> BenchConfig:
 
 
 def _at_least(value, low) -> None:
+    """``value`` is an integer of at least ``low``; a bool is no integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"need an integer, got {value!r}")
     if not value >= low:
         raise ValueError(f"need at least {low}, got {value!r}")
 
@@ -247,19 +252,24 @@ def learn_replication(
     demand = _plugin_demand(cfg, surface, ladder, alpha, rng)
     test = generate_dataset(surface, _gen_config(cfg, cfg.test_size, ladder), rng)
 
-    per_kind = estimator_coefficients(
-        obs,
-        ladder,
-        [EstimatorKind(name) for name in cfg.estimators],
-        demand,
-        lambda mv, rob: select_switching_weight_for_training(
+    # cmix's weight is chosen at a pilot trained on the robust coefficients of
+    # these records: that pilot is the robust policy, so it is trained once.
+    trained = {}
+
+    def choose_weight(mv, rob):
+        weight, trained[EstimatorKind.ROBUST] = select_switching_weight_for_training(
             obs.features, ladder, mv, rob, folds=cfg.cv_folds
-        ),
+        )
+        return weight
+
+    per_kind = estimator_coefficients(
+        obs, ladder, [EstimatorKind(name) for name in cfg.estimators], demand, choose_weight
     )
     out: dict[str, float] = {}
     for kind, (coef, _) in per_kind.items():
-        result = optimize_policy(obs.features, ladder, coef)
-        test_pm = result.policy.probs_matrix(test.features)
+        if kind not in trained:
+            trained[kind] = optimize_policy(obs.features, ladder, coef)
+        test_pm = trained[kind].policy.probs_matrix(test.features)
         out[kind.value] = -true_policy_value(test_pm, test.valuations, ladder)
     return out
 

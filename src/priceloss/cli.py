@@ -114,6 +114,8 @@ def cmd_sweep(args, runner, check=None) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"bad --seed {args.seed}: need a nonnegative integer")
     rng = np.random.default_rng(args.seed)
     ladder = _parse_ladder(args.ladder, args.unit_cost)
     kind = SurfaceKind(args.surface)

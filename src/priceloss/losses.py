@@ -42,11 +42,12 @@ c * coef_mv + (1 - c) * coef_robust of the mv and robust coefficient matrices,
 which equals the formula at its mu.
 
 ``estimator_coefficients`` is the one place that decides which matrices a
-set of kinds needs and the one place that forms cmix: it builds each matrix
-once, and mixes the mv and robust matrices at the weight its caller chooses
-from those same matrices (the lowest cross-fold loss variance, at the
-evaluated policy for evaluation and at a robust-trained pilot policy for
-learning). ``loss_coefficients`` at an explicit weight goes through it too.
+set of kinds needs: it builds each matrix once, and mixes the mv and robust
+matrices at the weight its caller chooses from those same matrices (the
+lowest cross-fold loss variance, at the evaluated policy for evaluation and
+at a robust-trained pilot policy for learning). ``loss_coefficients`` at an
+explicit weight builds the two matrices and mixes them with the same
+expression.
 
 The demand plug-in is any object with ``sale_probs_matrix(features)``. Each
 build calls it once at the records' features; its output must be (n, m)
@@ -147,10 +148,9 @@ def loss_coefficients(
             raise ValueError("switching estimator needs an explicit weight")
         if not 0.0 <= switching_weight <= 1.0:
             raise ValueError("switching weight must lie in [0, 1]")
-        per_kind = estimator_coefficients(
-            dataset, ladder, [kind], demand, lambda mv, rob: switching_weight
-        )
-        return per_kind[kind][0]
+        mv = loss_coefficients(dataset, ladder, EstimatorKind.MIN_VARIANCE, demand)
+        rob = loss_coefficients(dataset, ladder, EstimatorKind.ROBUST)
+        return switching_weight * mv + (1.0 - switching_weight) * rob
     mu = np.broadcast_to(_reward_plugin(dataset, ladder, kind, demand), (dataset.n, m))
     rows = np.arange(dataset.n)
     j0 = dataset.price_index - 1

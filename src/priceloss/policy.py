@@ -10,16 +10,11 @@ training adds an L2 penalty ``ERM_L2 / 2 * |theta|^2`` on every weight, bias
 included; the penalized problem has finite stationary points, and a trained
 policy is one of them.
 
-One damped-Newton (Levenberg-Marquardt) trainer, ``_damped_newton_descent``,
-solves K such problems at once over shared features: theta is
-(K, m, d + 1) and the coefficients are stored rung-major as (K, m, n), so
-scores ``theta @ Xb.T`` are (K, m, n) and the softmax and ``<p, coef>``
-reduce over the m rungs with whole rows of records as vectors. Each step
-evaluates the loss of the problems still descending only, builds the
-m(d + 1)-square Hessians of those whose step was kept, and solves all the
-damped Newton systems with one batched solve; each problem stops on its own
-gradient tolerance (``_StackedErm`` describes how a Hessian is built).
-``optimize_policy`` is the K = 1 call.
+``optimize_policy`` trains one policy by damped-Newton (Levenberg-Marquardt)
+steps from theta = 0. Its objective stores the coefficients rung-major as
+(m, n), so the softmax and ``<p, coef>`` reduce over the m rungs with whole
+rows of records as vectors, and it builds the m(d + 1)-square Hessian from
+its unique entries (``_ErmObjective`` describes how).
 """
 
 from __future__ import annotations
@@ -33,16 +28,16 @@ from .demand import fit_tlearner
 from .ladder import Dataset, PolicyDist, PriceLadder
 
 
-def _softmax_in_place(scores: np.ndarray) -> np.ndarray:
-    """Softmax over axis 1 (the rungs), overwriting and returning ``scores``."""
-    scores -= scores.max(axis=1, keepdims=True)
+def _softmax_in_place(scores: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Softmax over ``axis`` (the rungs), overwriting and returning ``scores``."""
+    scores -= scores.max(axis=axis, keepdims=True)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
+    scores /= scores.sum(axis=axis, keepdims=True)
     return scores
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Softmax over axis 1: the rungs of (n, m) or rung-major (K, m, n) scores."""
+    """Softmax over axis 1: the rungs of (n, m) scores."""
     return _softmax_in_place(np.array(scores, dtype=np.float64))
 
 
@@ -160,17 +155,15 @@ class TrainingDiverged(ArithmeticError):
     pass
 
 
-class _StackedErm:
-    """Penalized mean corrupted loss of K ERM problems over shared features.
+class _ErmObjective:
+    """Penalized mean corrupted loss of one ERM problem, and its derivatives.
 
-    ``coef_t`` holds each problem's coefficients rung-major, (K, m, n), for
-    the n rows of ``features_bias``. Calling the objective at the theta
-    (R, m, d + 1) of the problems ``rows`` returns their R losses, and keeps
-    in slot s of the work arrays what ``derivatives`` needs for the gradient
-    and Hessian of problem ``rows[s]``. The descent calls it with the problems
-    still descending only, so a converged problem costs nothing.
+    ``coef_t`` holds the coefficients rung-major, (m, n), for the n rows of
+    ``features_bias``. Calling the objective at a theta (m, d + 1) returns its
+    loss and keeps in the work arrays what ``derivatives`` needs for the
+    gradient and Hessian at that theta.
 
-    Each problem's data Hessian is ``sum_i S_i kron x_i x_i^T``, where
+    The data Hessian is ``sum_i S_i kron x_i x_i^T``, where
     ``S_i = diag(g_i) - p_i g_i^T - g_i p_i^T`` is record i's score Hessian
     (g_i the score gradient). Both factors are symmetric, so ``derivatives``
     forms ``S_i`` for the m(m + 1)/2 rung pairs j <= l, multiplies those
@@ -183,11 +176,11 @@ class _StackedErm:
     """
 
     def __init__(self, features_bias: np.ndarray, coef_t: np.ndarray):
-        n, width = features_bias.shape
+        width = features_bias.shape[1]
         self.features_bias = features_bias
         self.features_t = np.ascontiguousarray(features_bias.T)
         self.coef_t = np.ascontiguousarray(coef_t, dtype=np.float64)
-        k, m, _ = self.coef_t.shape
+        m = self.coef_t.shape[0]
         # x_i x_i^T of every record, on and above the diagonal: (n, Q).
         first, second, feature_pairs = _upper_triangle(width)
         self.outer = features_bias[:, first] * features_bias[:, second]
@@ -197,56 +190,36 @@ class _StackedErm:
         self.hess_index = (
             rung_pairs[:, None, :, None] * first.size + feature_pairs[None, :, None, :]
         ).reshape(-1)
-        self.probs = np.empty(self.coef_t.shape)
-        self.score_grad = np.empty(self.coef_t.shape)
-        # Flat, so that the first S problems' (m, S, n) view is contiguous.
-        self.rung_major = np.empty((3, k * m * n))
-        self.hess_weights = np.empty(m * (m + 1) // 2 * k * n)
+        work = np.empty((4,) + self.coef_t.shape)
+        self.probs, self.score_grad, self.neg_probs, self.terms = work
+        self.hess_weights = np.empty((m * (m + 1) // 2, self.coef_t.shape[1]))
 
-    def __call__(self, theta: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Penalized losses (R,) of the problems ``rows`` (all K when None) at
-        their theta (R, m, d + 1)."""
-        if rows is None:
-            rows = np.arange(self.coef_t.shape[0])
-        r, m, _ = theta.shape
+    def __call__(self, theta: np.ndarray) -> float:
+        """The penalized loss at theta (m, d + 1)."""
         n = self.features_t.shape[1]
-        probs, score_grad = self.probs[:r], self.score_grad[:r]
-        np.matmul(theta.reshape(r * m, -1), self.features_t, out=probs.reshape(r * m, n))
-        _softmax_in_place(probs)
-        # The indices are valid, and "clip" spares the copy of ``out`` that
-        # numpy makes under the default "raise".
-        np.take(self.coef_t, rows, axis=0, out=score_grad, mode="clip")
-        score_grad *= probs
-        per_record = score_grad.sum(axis=1, keepdims=True)  # (R, 1, n)
-        loss = per_record.mean(axis=2)[:, 0]
-        loss += 0.5 * ERM_L2 * np.einsum("kjd,kjd->k", theta, theta)
-        if np.all(np.isfinite(loss)):
-            # d loss / d score_kji = p_kji (coef_kji - <p_ki, coef_ki>) / n
+        probs, score_grad = self.probs, self.score_grad
+        np.matmul(theta, self.features_t, out=probs)
+        _softmax_in_place(probs, axis=0)
+        np.multiply(self.coef_t, probs, out=score_grad)
+        per_record = score_grad.sum(axis=0)
+        loss = per_record.mean() + 0.5 * ERM_L2 * np.einsum("jd,jd->", theta, theta)
+        if np.isfinite(loss):
+            # d loss / d score_ji = p_ji (coef_ji - <p_i, coef_i>) / n
             score_grad -= probs * per_record
             score_grad /= n
-        return loss
+        return float(loss)
 
-    def derivatives(
-        self, theta: np.ndarray, slots: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient (S, m, d + 1) and Hessian (S, m(d + 1), m(d + 1)) of the
-        problems in ``slots`` (positions in the last call's rows) at the theta
-        of that call."""
-        _, m, n = self.coef_t.shape
-        width = self.features_bias.shape[1]
-        r = slots.size
-        # Rung-major (m, S, n), so each block of rung pairs below is contiguous.
-        neg_probs, score_grad, terms = (
-            work[: m * r * n].reshape(m, r, n) for work in self.rung_major
-        )
-        np.take(self.probs.transpose(1, 0, 2), slots, axis=1, out=neg_probs, mode="clip")
-        np.negative(neg_probs, out=neg_probs)
-        np.take(self.score_grad.transpose(1, 0, 2), slots, axis=1, out=score_grad, mode="clip")
-        grad = (score_grad.reshape(m * r, n) @ self.features_bias).reshape(m, r, width)
-        grad = grad.transpose(1, 0, 2) + ERM_L2 * theta[slots]
+    def derivatives(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient (m, d + 1) and Hessian (m(d + 1), m(d + 1)) at the theta of
+        the last call."""
+        m = self.coef_t.shape[0]
+        size = m * self.features_bias.shape[1]
+        score_grad, terms = self.score_grad, self.terms
+        neg_probs = np.negative(self.probs, out=self.neg_probs)
+        grad = score_grad @ self.features_bias + ERM_L2 * theta
         # One diagonal l - j at a time, in the order of _upper_triangle:
         # S_jj = (1 - 2 p_j) g_j, then S_jl = -(p_j g_l + p_l g_j).
-        weights = self.hess_weights[: m * (m + 1) // 2 * r * n].reshape(-1, r, n)
+        weights = self.hess_weights
         np.multiply(neg_probs, 2.0, out=terms)
         terms += 1.0
         np.multiply(terms, score_grad, out=weights[:m])
@@ -257,9 +230,7 @@ class _StackedErm:
             np.multiply(score_grad[: m - offset], neg_probs[offset:], out=term)
             block += term
             start += m - offset
-        products = (weights.reshape(-1, n) @ self.outer).reshape(-1, r, self.outer.shape[1])
-        products = products.transpose(1, 0, 2).reshape(r, -1)
-        hess = np.take(products, self.hess_index, axis=1).reshape(r, m * width, m * width)
+        hess = np.take(weights @ self.outer, self.hess_index).reshape(size, size)
         _add_to_diagonal(hess, ERM_L2)
         return grad, hess
 
@@ -275,76 +246,14 @@ def _upper_triangle(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, positions
 
 
-def _damped_newton_descent(
-    features_bias: np.ndarray, coef_t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Train K linear-softmax policies at once from theta = 0.
-
-    ``coef_t`` is (K, m, n) over the shared (n, d + 1) ``features_bias``.
-    Each problem takes Levenberg-Marquardt steps ``(H + mu I) s = -grad``,
-    all solved together, and keeps a step only where it lowers that problem's
-    penalized loss. A problem stops once its gradient is below ``GRAD_TOL``,
-    and from then on is neither stepped nor evaluated, so each problem's steps
-    are those of solving it alone. Returns theta (K, m, d + 1), the penalized
-    loss history (K, max steps + 1) with entry t the loss after step t, each
-    problem's step count, and each final gradient's max |entry|. Raises
-    ``TrainingDiverged`` on a non-finite loss or when a problem has not
-    converged in ``MAX_DESCENT_STEPS`` steps.
-    """
-    objective = _StackedErm(features_bias, coef_t)
-    k, m, _ = coef_t.shape
-    theta = np.zeros((k, m, features_bias.shape[1]))
-    everything = np.arange(k)
-    loss = _finite_loss(objective, theta, everything, 0)
-    grad, hess = objective.derivatives(theta, everything)
-    grad_max = np.max(np.abs(grad), axis=(1, 2))
-    damping = np.full(k, DAMPING_START)
-    steps = np.zeros(k, dtype=int)
-    history = np.empty((k, MAX_DESCENT_STEPS + 1))
-    history[:, 0] = loss
-    for t in range(1, MAX_DESCENT_STEPS + 1):
-        active = np.flatnonzero(~(grad_max < GRAD_TOL))
-        if active.size == 0:
-            break
-        trial = theta[active] - _damped_newton_step(hess[active], grad[active], damping[active])
-        trial_loss = _finite_loss(objective, trial, active, t)
-        lowered = trial_loss < loss[active]
-        better = active[lowered]
-        damping[better] *= DAMPING_SHRINK
-        damping[active[~lowered]] *= DAMPING_GROW
-        steps[active] = t
-        if better.size:
-            theta[better] = trial[lowered]
-            loss[better] = trial_loss[lowered]
-            grad[better], hess[better] = objective.derivatives(trial, np.flatnonzero(lowered))
-            grad_max[better] = np.max(np.abs(grad[better]), axis=(1, 2))
-        history[:, t] = loss
-    if not np.all(grad_max < GRAD_TOL):
-        raise TrainingDiverged(
-            f"training did not converge in {MAX_DESCENT_STEPS} steps "
-            f"(max |gradient| {np.max(grad_max):.3g})"
-        )
-    return theta, history[:, : steps.max() + 1], steps, grad_max
+def _add_to_diagonal(matrix: np.ndarray, value: float) -> None:
+    """Add ``value`` to the diagonal of the square ``matrix`` in place."""
+    matrix.reshape(-1)[:: matrix.shape[0] + 1] += value
 
 
-def _damped_newton_step(hess: np.ndarray, grad: np.ndarray, damping: np.ndarray) -> np.ndarray:
-    """Solve ``(H + mu I) s = grad`` for each problem, overwriting ``hess``."""
-    _add_to_diagonal(hess, damping[:, None])
-    return np.linalg.solve(hess, grad.reshape(len(grad), -1, 1)).reshape(grad.shape)
-
-
-def _add_to_diagonal(matrices: np.ndarray, value) -> None:
-    """Add ``value`` (a scalar or one per matrix, (R, 1)) to the diagonal of
-    each of the (R, s, s) ``matrices`` in place."""
-    size = matrices.shape[-1]
-    matrices.reshape(matrices.shape[0], -1)[:, :: size + 1] += value
-
-
-def _finite_loss(
-    objective: _StackedErm, theta: np.ndarray, rows: np.ndarray, step: int
-) -> np.ndarray:
-    loss = objective(theta, rows)
-    if not np.all(np.isfinite(loss)):
+def _finite_loss(objective: _ErmObjective, theta: np.ndarray, step: int) -> float:
+    loss = objective(theta)
+    if not np.isfinite(loss):
         raise TrainingDiverged(
             f"non-finite training loss at step {step} "
             f"(|theta|_max={np.max(np.abs(theta)):.3g})"
@@ -355,13 +264,45 @@ def _finite_loss(
 def optimize_policy(features: np.ndarray, ladder: PriceLadder, coef: np.ndarray) -> TrainResult:
     """Minimize the L2-penalized empirical corrupted loss over linear-softmax
     policies, for the records with these (n, d) ``features`` and (n, m) loss
-    coefficients ``coef``."""
-    theta, history, steps, grad_max = _damped_newton_descent(with_bias(features), coef.T[None])
+    coefficients ``coef``.
+
+    The descent starts at theta = 0 and takes Levenberg-Marquardt steps
+    ``(H + mu I) s = -grad``. It keeps a step only where it lowers the
+    penalized loss, and stops once every gradient entry is below
+    ``GRAD_TOL``. Raises ``TrainingDiverged`` on a non-finite loss or when it
+    has not converged in ``MAX_DESCENT_STEPS`` steps.
+    """
+    features_bias = with_bias(features)
+    objective = _ErmObjective(features_bias, coef.T)
+    theta = np.zeros((coef.shape[1], features_bias.shape[1]))
+    loss = _finite_loss(objective, theta, 0)
+    grad, hess = objective.derivatives(theta)
+    grad_max = np.max(np.abs(grad))
+    damping = DAMPING_START
+    history = [loss]
+    while not grad_max < GRAD_TOL:
+        if len(history) > MAX_DESCENT_STEPS:
+            raise TrainingDiverged(
+                f"training did not converge in {MAX_DESCENT_STEPS} steps "
+                f"(max |gradient| {grad_max:.3g})"
+            )
+        damped = hess.copy()  # a rejected step retries with the same Hessian
+        _add_to_diagonal(damped, damping)
+        trial = theta - np.linalg.solve(damped, grad.reshape(-1)).reshape(theta.shape)
+        trial_loss = _finite_loss(objective, trial, len(history))
+        if trial_loss < loss:
+            damping *= DAMPING_SHRINK
+            theta, loss = trial, trial_loss
+            grad, hess = objective.derivatives(trial)
+            grad_max = np.max(np.abs(grad))
+        else:
+            damping *= DAMPING_GROW
+        history.append(loss)
     return TrainResult(
-        policy=LinearSoftmaxPolicy(theta=theta[0], ladder=ladder),
-        loss_history=history[0, : steps[0] + 1],
-        steps=int(steps[0]),
-        grad_max=float(grad_max[0]),
+        policy=LinearSoftmaxPolicy(theta=theta, ladder=ladder),
+        loss_history=np.asarray(history),
+        steps=len(history) - 1,
+        grad_max=float(grad_max),
     )
 
 
@@ -412,7 +353,7 @@ def select_switching_weight_for_training(
     coef_mv: np.ndarray,
     coef_rob: np.ndarray,
     folds: int = CV_FOLDS,
-) -> float:
+) -> tuple[float, TrainResult]:
     """Optimization-mode choice: the evaluation rule at a robust pilot policy.
 
     ``coef_mv`` and ``coef_rob`` are the mv and robust loss coefficients of
@@ -420,7 +361,9 @@ def select_switching_weight_for_training(
     the robust coefficients, which need no demand model. The weight is the
     one ``select_switching_weight`` picks at the pilot's probabilities on the
     same records: the lowest cross-fold variance of the mixed losses (Wang,
-    Agarwal & Dudik, arXiv:1612.01205).
+    Agarwal & Dudik, arXiv:1612.01205). Returns the weight and the pilot's
+    training, which is the robust policy of these records.
     """
-    pilot = optimize_policy(features, ladder, coef_rob).policy
-    return select_switching_weight(pilot.probs_matrix(features), coef_mv, coef_rob, folds)
+    pilot = optimize_policy(features, ladder, coef_rob)
+    probs = pilot.policy.probs_matrix(features)
+    return select_switching_weight(probs, coef_mv, coef_rob, folds), pilot

@@ -311,6 +311,14 @@ def test_removed_experiment_key_exits_two_and_is_named(tmp_path, capsys):
         ("sales-regime", {"shift": float("-inf")}, "shift"),
         ("eval-sweep", {"price_scale": float("nan")}, "d/price_scale"),
         ("eval-sweep", {"unit_cost": float("nan")}, "ladder/unit_cost"),
+        ("eval-sweep", {"n_grid": [1.5]}, "n_grid"),
+        ("learn-sweep", {"n_grid": [True]}, "n_grid"),
+        ("eval-sweep", {"reps": 1.5}, "reps"),
+        ("learn-sweep", {"cv_folds": 2.5}, "cv_folds"),
+        ("eval-sweep", {"n_demand_fit": 2.5}, "n_demand_fit"),
+        ("learn-sweep", {"seed": -1}, "seed"),
+        ("eval-sweep", {"seed": 1.5}, "seed"),
+        ("eval-sweep", {"workers": 1.5}, "workers"),
     ],
     ids=lambda v: v if isinstance(v, str) else ",".join(f"{k}={v[k]}" for k in v),
 )
@@ -318,8 +326,9 @@ def test_bad_sweep_config_exits_two_before_any_rep(tmp_path, capsys, command, do
     config, out = tmp_path / "config.json", tmp_path / "out.csv"
     config.write_text(json.dumps({"n_grid": [30], "reps": 2, **doc}))
     argv = [command, "--config", str(config), "--out", str(out)]
-    if "reps" in doc:
-        argv += ["--reps", str(doc["reps"])]  # as given on the command line
+    for flag in ("reps", "seed"):
+        if type(doc.get(flag)) is int:
+            argv += [f"--{flag}", str(doc[flag])]  # as given on the command line
     assert main(argv) == 2
     assert f"bad config: {named}: " in capsys.readouterr().err
     assert not out.exists()
@@ -333,6 +342,7 @@ def test_bad_sweep_config_exits_two_before_any_rep(tmp_path, capsys, command, do
         (["--shift", "nan"], "logit shift must be finite"),
         (["--shift=-inf"], "logit shift must be finite"),
         (["--unit-cost", "nan"], "unit cost must be nonnegative and finite"),
+        (["--seed", "-1"], "bad --seed -1: need a nonnegative integer"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else "",
 )

@@ -8,7 +8,7 @@ from priceloss.estimators import EstimatorKind
 from priceloss.demand import fit_tlearner
 from priceloss.ladder import Dataset, PriceLadder
 from priceloss.losses import loss_coefficients, per_record_losses
-from priceloss import policy
+from priceloss import bench, policy
 from priceloss.cli import _load_policy
 from priceloss.policy import (
     ERM_L2,
@@ -18,9 +18,8 @@ from priceloss.policy import (
     LinearSoftmaxPolicy,
     WEIGHT_GRID,
     TrainingDiverged,
-    _StackedErm,
+    _ErmObjective,
     _cross_fold_variances,
-    _damped_newton_descent,
     optimize_policy,
     select_switching_weight,
     select_switching_weight_for_training,
@@ -28,7 +27,13 @@ from priceloss.policy import (
     target_policy_for_evaluation,
     with_bias,
 )
-from priceloss.synthgen import GenConfig, SurfaceKind, generate_dataset, sample_surface
+from priceloss.synthgen import (
+    GenConfig,
+    SurfaceKind,
+    generate_dataset,
+    sample_surface,
+    true_policy_value,
+)
 from priceloss.ladder import PolicyDist
 
 LADDER = PriceLadder(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
@@ -69,11 +74,11 @@ def test_policy_rows_sum_to_one(seed):
     assert np.max(np.abs(pm.sum(axis=1) - 1.0)) < 1e-12
 
 
-def _erm_problem(rng, k=1, n=12, d=3, m=4):
+def _erm_problem(rng, n=12, d=3, m=4):
     xb = with_bias(rng.standard_normal((n, d)))
-    coef_t = rng.standard_normal((k, m, n))
-    theta = rng.standard_normal((k, m, d + 1)) * 0.5
-    return _StackedErm(xb, coef_t), theta
+    coef_t = rng.standard_normal((m, n))
+    theta = rng.standard_normal((m, d + 1)) * 0.5
+    return _ErmObjective(xb, coef_t), theta
 
 
 def test_gradient_matches_finite_differences():
@@ -81,88 +86,69 @@ def test_gradient_matches_finite_differences():
     for _ in range(20):
         objective, theta = _erm_problem(rng)
         objective(theta)
-        grad, _ = objective.derivatives(theta, np.arange(1))
+        grad, _ = objective.derivatives(theta)
         h = 1e-5
         for _ in range(5):
-            i, j = rng.integers(theta.shape[1]), rng.integers(theta.shape[2])
+            i, j = rng.integers(theta.shape[0]), rng.integers(theta.shape[1])
             bump = np.zeros_like(theta)
-            bump[0, i, j] = h
-            fd = (objective(theta + bump)[0] - objective(theta - bump)[0]) / (2 * h)
-            denom = max(abs(fd), abs(grad[0, i, j]), 1e-8)
-            assert abs(grad[0, i, j] - fd) / denom < 1e-4
+            bump[i, j] = h
+            fd = (objective(theta + bump) - objective(theta - bump)) / (2 * h)
+            denom = max(abs(fd), abs(grad[i, j]), 1e-8)
+            assert abs(grad[i, j] - fd) / denom < 1e-4
 
 
 def test_hessian_matches_finite_differences_of_the_gradient():
     rng = np.random.default_rng(13)
-    for _ in range(10):
-        objective, theta = _erm_problem(rng, k=3)
-        rows = np.arange(3)
+    for _ in range(30):
+        objective, theta = _erm_problem(rng)
         objective(theta)
-        _, hess = objective.derivatives(theta, rows)
-        assert np.max(np.abs(hess - hess.transpose(0, 2, 1))) < 1e-15
+        _, hess = objective.derivatives(theta)
+        assert np.max(np.abs(hess - hess.T)) < 1e-15
         h = 1e-6
         fd = np.empty_like(hess)
-        for a in range(hess.shape[1]):
-            bump = np.zeros(theta.size // 3)
+        for a in range(hess.shape[0]):
+            bump = np.zeros(theta.size)
             bump[a] = h
-            bump = np.broadcast_to(bump.reshape(theta.shape[1:]), theta.shape)
+            bump = bump.reshape(theta.shape)
             objective(theta + bump)
-            up, _ = objective.derivatives(theta + bump, rows)
+            up, _ = objective.derivatives(theta + bump)
             objective(theta - bump)
-            down, _ = objective.derivatives(theta - bump, rows)
-            fd[:, :, a] = (up - down).reshape(3, -1) / (2 * h)
+            down, _ = objective.derivatives(theta - bump)
+            fd[:, a] = (up - down).reshape(-1) / (2 * h)
         assert np.max(np.abs(hess - fd)) < 1e-8
 
 
 def _dense_derivatives(xb, coef_t, theta):
-    """Gradient and Hessian of each problem's penalized loss, built whole:
+    """Gradient and Hessian of the penalized loss, built whole:
     sum_i g_i x_i^T and sum_i S_i kron x_i x_i^T with S_i the score Hessian."""
     n = xb.shape[0]
-    k, m, width = theta.shape
-    probs = softmax_rows(theta @ xb.T)
-    score_grad = probs * (coef_t - np.sum(probs * coef_t, axis=1, keepdims=True)) / n
+    m, width = theta.shape
+    probs = softmax_rows(xb @ theta.T).T
+    score_grad = probs * (coef_t - np.sum(probs * coef_t, axis=0)) / n
     score_hess = (
-        np.einsum("jl,kji->kjli", np.eye(m), score_grad)
-        - np.einsum("kji,kli->kjli", probs, score_grad)
-        - np.einsum("kji,kli->kjli", score_grad, probs)
+        np.einsum("jl,ji->jli", np.eye(m), score_grad)
+        - np.einsum("ji,li->jli", probs, score_grad)
+        - np.einsum("ji,li->jli", score_grad, probs)
     )
-    grad = np.einsum("kji,ia->kja", score_grad, xb) + ERM_L2 * theta
-    hess = np.einsum("kjli,ia,ib->kjalb", score_hess, xb, xb).reshape(k, m * width, m * width)
+    grad = score_grad @ xb + ERM_L2 * theta
+    hess = np.einsum("jli,ia,ib->jalb", score_hess, xb, xb).reshape(m * width, m * width)
     return grad, hess + ERM_L2 * np.eye(m * width)
-
-
-def _strict_subset(rng, count):
-    """Ascending indices of a random strict subset of range(count); [0] for 1."""
-    size = int(rng.integers(1, count)) if count > 1 else 1
-    return np.sort(rng.choice(count, size, replace=False))
 
 
 def test_derivatives_match_a_dense_reference():
     rng = np.random.default_rng(14)
-    shapes = [(1, 1, 0, 1), (2, 1, 3, 7), (3, 4, 0, 9), (1, 5, 10, 40)]
-    shapes += [tuple(int(v) for v in rng.integers([1, 1, 0, 1], [7, 8, 9, 60])) for _ in range(30)]
-    for k, m, d, n in shapes:
+    shapes = [(1, 0, 1), (1, 3, 7), (4, 0, 9), (5, 10, 40)]
+    shapes += [tuple(int(v) for v in rng.integers([1, 0, 1], [8, 9, 60])) for _ in range(30)]
+    for m, d, n in shapes:
         xb = with_bias(rng.standard_normal((n, d)))
-        coef_t = rng.standard_normal((k, m, n))
-        theta = rng.standard_normal((k, m, d + 1)) * 0.5
-        objective = _StackedErm(xb, coef_t)
-        rows = _strict_subset(rng, k)
-        slots = _strict_subset(rng, rows.size)
-        objective(theta[rows], rows)
-        grad, hess = objective.derivatives(theta[rows], slots)
-        ref_grad, ref_hess = _dense_derivatives(xb, coef_t[rows[slots]], theta[rows[slots]])
+        coef_t = rng.standard_normal((m, n))
+        theta = rng.standard_normal((m, d + 1)) * 0.5
+        objective = _ErmObjective(xb, coef_t)
+        objective(theta)
+        grad, hess = objective.derivatives(theta)
+        ref_grad, ref_hess = _dense_derivatives(xb, coef_t, theta)
         assert np.max(np.abs(grad - ref_grad)) < 1e-12
         assert np.max(np.abs(hess - ref_hess)) < 1e-12
-
-
-def test_objective_on_a_subset_matches_the_full_evaluation():
-    rng = np.random.default_rng(15)
-    for _ in range(30):
-        k, m, d, n = (int(v) for v in rng.integers([2, 1, 0, 1], [12, 8, 12, 300]))
-        objective, theta = _erm_problem(rng, k=k, n=n, d=d, m=m)
-        full = objective(theta)
-        rows = _strict_subset(rng, k)
-        assert np.array_equal(objective(theta[rows], rows), full[rows])
 
 
 def _fit(ds, kind=EstimatorKind.ROBUST, ladder=LADDER):
@@ -346,43 +332,53 @@ def test_training_weight_is_the_variance_rule_at_the_robust_pilot(seed):
     coef_mv, coef_rob = _mv_and_robust(ds, demand)
     pilot = optimize_policy(ds.features, LADDER, coef_rob).policy
     expected = select_switching_weight(pilot.probs_matrix(ds.features), coef_mv, coef_rob, 4)
-    chosen = select_switching_weight_for_training(ds.features, LADDER, coef_mv, coef_rob, 4)
+    chosen, trained = select_switching_weight_for_training(
+        ds.features, LADDER, coef_mv, coef_rob, 4
+    )
     assert chosen == expected
+    assert np.array_equal(trained.policy.theta, pilot.theta)
 
 
 def test_training_weight_trains_one_problem_once(monkeypatch):
-    problems = []
-    descent = policy._damped_newton_descent
+    calls = []
+    train = policy.optimize_policy
 
-    def counting(features_bias, coef_t):
-        problems.append(coef_t.shape[0])
-        return descent(features_bias, coef_t)
+    def counting(features, ladder, coef):
+        calls.append(coef)
+        return train(features, ladder, coef)
 
-    monkeypatch.setattr(policy, "_damped_newton_descent", counting)
+    monkeypatch.setattr(policy, "optimize_policy", counting)
     ds = _dataset(n=200, seed=25)
     demand = fit_tlearner(_dataset(n=100, seed=125), LADDER)
-    select_switching_weight_for_training(ds.features, LADDER, *_mv_and_robust(ds, demand))
-    assert problems == [1]
+    coef_mv, coef_rob = _mv_and_robust(ds, demand)
+    select_switching_weight_for_training(ds.features, LADDER, coef_mv, coef_rob)
+    assert len(calls) == 1 and calls[0] is coef_rob
 
 
-def test_stacked_descent_matches_each_problem_alone():
-    ds = _dataset(n=90, seed=23)
-    coefs = [
-        loss_coefficients(ds, LADDER, EstimatorKind.ROBUST),
-        loss_coefficients(ds, LADDER, EstimatorKind.CIPS),
-        loss_coefficients(ds, LADDER, EstimatorKind.IPS),
-    ]
-    theta, history, steps, grad_max = _damped_newton_descent(
-        with_bias(ds.features), np.stack([c.T for c in coefs])
-    )
-    assert theta.shape == (3, 5, ds.features.shape[1] + 1)
-    assert history.shape == (3, steps.max() + 1)
-    for k, coef in enumerate(coefs):
-        alone = optimize_policy(ds.features, LADDER, coef)
-        assert steps[k] == alone.steps
-        assert np.max(np.abs(theta[k] - alone.policy.theta)) < 1e-12
-        assert np.max(np.abs(history[k, : steps[k] + 1] - alone.loss_history)) < 1e-12
-        assert grad_max[k] < GRAD_TOL and alone.grad_max < GRAD_TOL
+def test_learn_replication_trains_robust_once_and_reuses_it(monkeypatch):
+    calls = {"optimize_policy": [], "estimator_coefficients": [], "generate_dataset": []}
+
+    def recording(name, fn):
+        def wrapped(*args):
+            calls[name].append((args, fn(*args)))
+            return calls[name][-1][1]
+
+        return wrapped
+
+    train = policy.optimize_policy
+    for module in (policy, bench):
+        monkeypatch.setattr(module, "optimize_policy", recording("optimize_policy", train))
+    for name in ("estimator_coefficients", "generate_dataset"):
+        monkeypatch.setattr(bench, name, recording(name, getattr(bench, name)))
+    cfg = bench.BenchConfig(n_grid=(80,), reps=1, seed=7, test_size=2000)
+    rewards = bench.learn_replication(cfg, 80, None, 0)
+    # The default estimators: the robust pilot, then the ips, mv and cmix policies.
+    assert len(calls["optimize_policy"]) == 4
+    [((obs, *_), per_kind)] = calls["estimator_coefficients"]
+    test = calls["generate_dataset"][-1][1]
+    fresh = train(obs.features, LADDER, per_kind[EstimatorKind.ROBUST][0]).policy
+    expected = -true_policy_value(fresh.probs_matrix(test.features), test.valuations, LADDER)
+    assert rewards["robust"] == expected
 
 
 def test_descent_raises_at_the_step_cap(monkeypatch):
@@ -400,13 +396,9 @@ def test_descent_converges_across_surfaces_shifts_and_sizes():
         surface = sample_surface(rng, kind, 10, shift)
         ds = generate_dataset(surface, gen, rng)
         truth = surface.as_model(LADDER)
-        coef_t = np.stack(
-            [
-                loss_coefficients(ds, LADDER, EstimatorKind(e), truth).T
-                for e in ("ips", "cips", "robust", "mv")
-            ]
-        )
-        _, _, k_steps, grad_max = _damped_newton_descent(with_bias(ds.features), coef_t)
-        assert np.all(grad_max < GRAD_TOL)
-        steps += k_steps.tolist()
+        for e in ("ips", "cips", "robust", "mv"):
+            coef = loss_coefficients(ds, LADDER, EstimatorKind(e), truth)
+            result = optimize_policy(ds.features, LADDER, coef)
+            assert result.grad_max < GRAD_TOL
+            steps.append(result.steps)
     assert max(steps) <= policy.MAX_DESCENT_STEPS // 3
