@@ -22,7 +22,7 @@ import numpy as np
 from .demand import blend_alpha, fit_tlearner
 from .estimators import EstimatorKind
 from .ladder import PriceLadder, _opened
-from .losses import estimator_coefficients
+from .losses import estimator_coefficients, policy_losses
 from .policy import (
     optimize_policy,
     select_switching_weight,
@@ -234,7 +234,7 @@ def eval_replication(
         lambda mv, rob: select_switching_weight(pm, mv, rob, folds=cfg.cv_folds),
     )
     return {
-        kind.value: (float(np.sum(pm * coef, axis=1).mean()) - truth) ** 2
+        kind.value: (float(policy_losses(pm, coef).mean()) - truth) ** 2
         for kind, (coef, _) in per_kind.items()
     }
 

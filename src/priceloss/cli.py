@@ -26,7 +26,7 @@ from .ladder import (
     validate,
     write_csv,
 )
-from .losses import estimator_coefficients
+from .losses import estimator_coefficients, policy_losses
 from .policy import ConstantPolicy, LinearSoftmaxPolicy, select_switching_weight
 from .synthgen import GenConfig, SurfaceKind, sample_surface, generate_dataset
 
@@ -78,6 +78,10 @@ def _load_policy(path: str):
 
 
 def cmd_oracle_check(args) -> int:
+    if args.instances < 1:
+        raise InputError(f"bad --instances {args.instances}: need at least 1")
+    if args.seed < 0:
+        raise InputError(f"bad --seed {args.seed}: need a nonnegative integer")
     rows = oracle.run_all(seed=args.seed, n_instances=args.instances)
     if args.inject_broken:
         rows.append(oracle.SweepRow("injected_negative_control", args.seed, 1.0, 1e-9))
@@ -178,7 +182,7 @@ def cmd_eval_csv(args) -> int:
         dataset, ladder, kinds, demand, lambda mv, rob: select_switching_weight(pm, mv, rob)
     )
     for kind, (coef, weight) in per_kind.items():
-        losses = np.sum(pm * coef, axis=1)
+        losses = policy_losses(pm, coef)
         entry = {
             "estimated_loss": float(losses.mean()),
             "estimated_reward": float(-losses.mean()),

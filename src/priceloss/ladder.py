@@ -9,6 +9,9 @@ Conventions used across the package:
   ``p_j``.
 * Observed outcomes are indexed ``0..2m-1``: index ``j-1`` is a sale at
   ``p_j``, index ``m+j-1`` a no-sale at ``p_j``.
+* Per-record, per-rung arrays (propensities, policy probabilities, loss
+  coefficients) are (n, m); a reduction over the rungs runs along the rows
+  of an (m, n) copy or transpose, where numpy adds whole rows of records.
 """
 
 from __future__ import annotations
@@ -374,7 +377,8 @@ class _Layout:
             pis = np.tile(self.const.probs, (X.shape[0], 1))
         else:
             pis = np.column_stack([column(f"pi_{j + 1}") for j in range(self.m)])
-            ok = (pis > 0.0).all(axis=1) & (np.abs(pis.sum(axis=1) - 1.0) <= SIMPLEX_TOL)
+            rungs = np.ascontiguousarray(pis.T)
+            ok = (rungs > 0.0).all(axis=0) & (np.abs(rungs.sum(axis=0) - 1.0) <= SIMPLEX_TOL)
             for i in np.flatnonzero(~ok):
                 try:
                     _check_simplex(pis[i], f"row {i + 2} propensities", strict_positive=True)

@@ -17,7 +17,7 @@ the engine produces one coefficient per rung such that
 
 with the coefficients independent of the policy. One coefficient matrix per
 dataset and kind serves both uses: evaluating a policy (the row-wise dot
-product with its rung probabilities) and learning one (``policy`` trains on
+product with its rung probabilities, ``policy_losses``) and learning one (``policy`` trains on
 the matrix, with gradients through the policy only).
 
 Every estimator kind has the doubly robust form: a per-rung reward plug-in
@@ -209,7 +209,14 @@ def per_record_losses(
     if pm.shape != (dataset.n, dataset.m):
         raise ValueError(f"policy matrix must be (n, m) = {(dataset.n, dataset.m)}")
     coef = loss_coefficients(dataset, ladder, kind, demand, switching_weight)
-    return np.sum(pm * coef, axis=1)
+    return policy_losses(pm, coef)
+
+
+def policy_losses(policy_matrix: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Each record's loss ``<p_i, coef_i>`` for (n, m) rung probabilities and
+    loss coefficients, summed over the rungs along rows of their (m, n)
+    product."""
+    return np.multiply(policy_matrix.T, coef.T, order="C").sum(axis=0)
 
 
 def per_record_losses_reference(

@@ -10,6 +10,12 @@ training adds an L2 penalty ``ERM_L2 / 2 * |theta|^2`` on every weight, bias
 included; the penalized problem has finite stationary points, and a trained
 policy is one of them.
 
+Every per-record kernel reduces over the rungs rung-major, on an (m, n)
+array, so that numpy adds whole rows of records rather than m entries per
+record. ``softmax_rows`` softmaxes an (m, n) copy of its scores and returns
+the (n, m) transpose view, so a caller that reduces over the rungs gets the
+rung-major array back with ``.T`` and no copy.
+
 ``optimize_policy`` trains one policy by damped-Newton (Levenberg-Marquardt)
 steps from theta = 0. Its objective stores the coefficients rung-major as
 (m, n), so the softmax and ``<p, coef>`` reduce over the m rungs with whole
@@ -26,19 +32,26 @@ import numpy as np
 
 from .demand import fit_tlearner
 from .ladder import Dataset, PolicyDist, PriceLadder
+from .losses import policy_losses
 
 
-def _softmax_in_place(scores: np.ndarray, axis: int = 1) -> np.ndarray:
-    """Softmax over ``axis`` (the rungs), overwriting and returning ``scores``."""
-    scores -= scores.max(axis=axis, keepdims=True)
+def _softmax_in_place(scores: np.ndarray) -> np.ndarray:
+    """Softmax over axis 0, the rungs of (m, n) scores, overwriting and
+    returning ``scores``."""
+    scores -= scores.max(axis=0)
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=axis, keepdims=True)
+    scores /= scores.sum(axis=0)
     return scores
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Softmax over axis 1: the rungs of (n, m) scores."""
-    return _softmax_in_place(np.array(scores, dtype=np.float64))
+    """Softmax over the rungs of (n, m) scores.
+
+    Returns an (n, m) array that is the transpose view of a C-contiguous
+    (m, n) one, so ``.T`` gives the rung-major probabilities without a copy.
+    """
+    work = np.array(np.asarray(scores, dtype=np.float64).T, order="C")
+    return _softmax_in_place(work).T
 
 
 def with_bias(features: np.ndarray) -> np.ndarray:
@@ -199,7 +212,7 @@ class _ErmObjective:
         n = self.features_t.shape[1]
         probs, score_grad = self.probs, self.score_grad
         np.matmul(theta, self.features_t, out=probs)
-        _softmax_in_place(probs, axis=0)
+        _softmax_in_place(probs)
         np.multiply(self.coef_t, probs, out=score_grad)
         per_record = score_grad.sum(axis=0)
         loss = per_record.mean() + 0.5 * ERM_L2 * np.einsum("jd,jd->", theta, theta)
@@ -338,8 +351,8 @@ def _cross_fold_variances(
     fold's variance is taken on a strided view of those rows.
     """
     pm = np.atleast_2d(policy_matrix)
-    loss_mv = np.sum(pm * coef_mv, axis=1)
-    loss_rob = np.sum(pm * coef_rob, axis=1)
+    loss_mv = policy_losses(pm, coef_mv)
+    loss_rob = policy_losses(pm, coef_rob)
     c = np.asarray(WEIGHT_GRID)[:, None]
     mixed = c * loss_mv + (1.0 - c) * loss_rob
     f = min(folds, loss_mv.shape[0])

@@ -127,10 +127,11 @@ def logging_policy_matrix(demand: np.ndarray, scale: float = 5.0) -> np.ndarray:
 
 
 def _sample_categorical_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(probs, axis=1)
-    cum[:, -1] = 1.0
+    """One 0-based rung per row of the (n, m) ``probs``, by one uniform each."""
+    cum = np.cumsum(np.ascontiguousarray(probs.T), axis=0)
+    cum[-1] = 1.0
     u = rng.random(probs.shape[0])
-    return (u[:, None] > cum).sum(axis=1)
+    return (u > cum).sum(axis=0)
 
 
 def generate_dataset(
@@ -143,14 +144,13 @@ def generate_dataset(
         raise ValueError("surface dimension does not match the config")
     ladder = config.ladder
     X = rng.standard_normal((config.n, config.d))
-    demand = surface.demand_matrix(X, ladder.prices)
-    pi0 = logging_policy_matrix(demand, config.softmax_scale)
+    demand_t = np.ascontiguousarray(surface.demand_matrix(X, ladder.prices).T)  # (m, n)
+    pi0 = logging_policy_matrix(demand_t.T, config.softmax_scale)
     # One uniform per customer drives the outcome at every price; demand is
     # nonincreasing in price, so the outcome vector is monotone and the
     # valuation is just the number of prices the customer accepts.
     u = rng.random(config.n)
-    accepts = u[:, None] <= demand  # (n, m)
-    valuation = accepts.sum(axis=1)
+    valuation = (u <= demand_t).sum(axis=0)
     price0 = _sample_categorical_rows(pi0, rng)
     sold = valuation >= (price0 + 1)
     return Dataset(
@@ -176,8 +176,9 @@ def true_policy_value(
     vals = np.asarray(valuations, dtype=np.int64)
     if pm.shape[0] != vals.size:
         raise ValueError("policy matrix rows must match the number of records")
-    # accept[i, j] = 1 iff customer i buys at rung j+1
-    accept = (np.arange(1, ladder.m + 1)[None, :] <= vals[:, None]).astype(np.float64)
-    per_record = -(pm * ladder.margins * accept).sum(axis=1)
+    # Rung-major, (m, n): accept[j, i] = 1 iff customer i buys at rung j+1
+    pm_t = np.ascontiguousarray(pm.T)
+    accept = (np.arange(1, ladder.m + 1)[:, None] <= vals).astype(np.float64)
+    per_record = -((pm_t * ladder.margins[:, None]) * accept).sum(axis=0)
     return float(per_record.mean())
 

@@ -59,6 +59,22 @@ def test_oracle_check_verdicts_stable_across_seeds(tmp_path):
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--instances", "0"], "bad --instances 0: need at least 1"),
+        (["--instances", "-1"], "bad --instances -1: need at least 1"),
+        (["--seed", "-1"], "bad --seed -1: need a nonnegative integer"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+)
+def test_bad_oracle_check_flag_exits_two(tmp_path, capsys, flags, message):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle-check", "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _write_policy(tmp_path, kind="constant"):
     path = tmp_path / "policy.json"
     if kind == "constant":
